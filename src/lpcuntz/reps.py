@@ -88,12 +88,12 @@ class GradedRep:
     def generator_operator(self, family: str, j: int, level: int) -> OperatorMatrix:
         if family == "s":
             mat = self.s_matrix(j, level)
-            return OperatorMatrix(self.space(level), self.space(level + 1), self.p, mat.toarray())
+            return OperatorMatrix(self.space(level), self.space(level + 1), self.p, mat)
         if family == "t":
             if level < 1:
                 raise ValueError("t lowers the level; need level >= 1")
             mat = self.t_matrix(j, level)
-            return OperatorMatrix(self.space(level), self.space(level - 1), self.p, mat.toarray())
+            return OperatorMatrix(self.space(level), self.space(level - 1), self.p, mat)
         raise ValueError("family must be 's' or 't'")
 
     def __repr__(self):
@@ -673,9 +673,7 @@ def evaluate(rep, a: AlgebraElement, level: int, reduce: bool = True) -> Operato
             mat = rep.inclusion(cur) @ mat
             cur += 1
         total = total + coeff.to_complex() * mat
-    return OperatorMatrix(
-        rep.space(level), rep.space(level + k_max), rep.p, total.toarray()
-    )
+    return OperatorMatrix(rep.space(level), rep.space(level + k_max), rep.p, total)
 
 
 def check_relations(rep, max_level: int) -> float:
@@ -778,27 +776,29 @@ def _is_isometry_matrix(A: OperatorMatrix, tol: float) -> bool:
         B = A.entries
         gram = B.conj().T @ np.diag(A.target.weights) @ B
         return bool(np.abs(gram - np.diag(A.source.weights)).max() <= tol * 10)
-    abs_e = np.abs(A.entries)
-    cut = 1e-12 * max(1.0, float(abs_e.max(initial=0.0)))
-    seen: set = set()
-    for col in range(abs_e.shape[1]):
-        rows = set(np.nonzero(abs_e[:, col] > cut)[0])
-        if rows & seen:
-            return False
-        seen |= rows
+    rows, values = _nonzeros(A)
+    cut = 1e-12 * max(1.0, float(np.abs(values).max(initial=0.0)))
+    rows = rows[np.abs(values) > cut]
+    if np.unique(rows).size < rows.size:  # a row shared by two columns
+        return False
     ratios = _column_ratios(A)
     return bool(np.abs(ratios - 1.0).max(initial=0.0) <= tol)
 
 
+def _nonzeros(A: OperatorMatrix) -> tuple:
+    """Row index and value of each stored entry of the kernel."""
+    K = A.kernel
+    if isinstance(K, np.ndarray):
+        return np.nonzero(K)[0], K[K != 0]
+    coo = K.tocoo()
+    return coo.row, coo.data
+
+
 def _column_ratios(A: OperatorMatrix) -> np.ndarray:
-    out = np.empty(len(A.source))
-    for i, x in enumerate(A.source.atoms):
-        e = np.zeros(len(A.source))
-        e[i] = 1.0
-        out[i] = vector_norm(A.target, A.apply(e), A.p) / vector_norm(
-            A.source, e, A.p
-        )
-    return out
+    """||A e_x|| / ||e_x|| for each source atom x."""
+    mags = abs(A.kernel)
+    mags = mags.power(A.p) if sparse.issparse(mags) else mags**A.p
+    return (A.target.weights @ mags) ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
 
 
 def spatiality_report(
@@ -864,7 +864,7 @@ def spatiality_report(
             c = float(ratios.max(initial=0.0))
             if c == 0.0:
                 continue
-            scaled = OperatorMatrix(A.source, A.target, p, A.entries / c)
+            scaled = OperatorMatrix(A.source, A.target, p, A.kernel / c)
             if np.abs(ratios - c).max() > norm_tol * c or not _is_isometry_matrix(
                 scaled, norm_tol
             ):
@@ -881,7 +881,8 @@ def spatiality_report(
     supports = {}
     disjoint_value, disjoint_witness = True, {}
     for j in rep.generators:
-        rows = set(np.nonzero(np.abs(s_ops[j].entries).max(axis=1) > 1e-12)[0])
+        rows, values = _nonzeros(s_ops[j])
+        rows = set(rows[np.abs(values) > 1e-12])
         for k, other in supports.items():
             if rows & other:
                 disjoint_value = False
@@ -956,7 +957,7 @@ def spatiality_report(
     pt_value, pt_witness = True, {}
     for lam in lams[: d + 1 + samples // 2]:
         entries = sum(
-            complex(lam[j - 1]) * t_ops[j].entries for j in rep.generators
+            complex(lam[j - 1]) * t_ops[j].kernel for j in rep.generators
         )
         A = OperatorMatrix(t_ops[1].source, t_ops[1].target, p, entries)
         est = power_estimate(A, restarts=8, seed=seed).estimate
@@ -1036,7 +1037,7 @@ def lp_vec_norm(lam, p: float) -> float:
 
 
 def _s_lambda_operator(rep, lam, level, s_ops) -> OperatorMatrix:
-    entries = sum(complex(lam[j - 1]) * s_ops[j].entries for j in rep.generators)
+    entries = sum(complex(lam[j - 1]) * s_ops[j].kernel for j in rep.generators)
     return OperatorMatrix(s_ops[1].source, s_ops[1].target, rep.p, entries)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .measure import (
     FiniteMeasureSpace,
@@ -40,39 +41,65 @@ MATRIX_TOL = 1e-12
 
 
 class OperatorMatrix:
-    """Dense complex matrix between two weighted l^p spaces (target x source)."""
+    """Complex matrix between two weighted l^p spaces (target x source).
 
-    __slots__ = ("source", "target", "p", "entries")
+    The kernel is held as given: a dense ndarray, or a CSR array when a
+    scipy.sparse matrix is passed (spatial partial isometries and the
+    elements they generate have few nonzeros).  Either way it is copied
+    at construction, so the operator never aliases its input.
+    ``entries`` is a read-only dense view, built on first use and cached.
+    """
+
+    __slots__ = ("source", "target", "p", "kernel", "_dense")
 
     def __init__(self, source: FiniteMeasureSpace, target: FiniteMeasureSpace, p, entries):
         p = float(p)
         if not (1 <= p < np.inf):
             raise ValueError("exponent p must lie in [1, inf)")
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (len(target), len(source)):
+        if sparse.issparse(entries):
+            kernel = sparse.csr_array(entries, dtype=complex, copy=True)
+            kernel.sum_duplicates()
+            for part in (kernel.data, kernel.indices, kernel.indptr):
+                part.flags.writeable = False
+        else:
+            kernel = np.array(entries, dtype=complex)
+            kernel.flags.writeable = False
+        if kernel.shape != (len(target), len(source)):
             raise ValueError(
-                f"matrix shape {entries.shape} does not match "
+                f"matrix shape {kernel.shape} does not match "
                 f"target x source = ({len(target)}, {len(source)})"
             )
-        entries = entries.copy()
-        entries.flags.writeable = False
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "_dense", kernel if isinstance(kernel, np.ndarray) else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
 
+    @property
+    def shape(self) -> tuple:
+        return self.kernel.shape
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense read-only view of the kernel."""
+        if self._dense is None:
+            dense = self.kernel.toarray()
+            dense.flags.writeable = False
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
     def apply(self, xi) -> np.ndarray:
-        return self.entries @ np.asarray(xi, dtype=complex)
+        return self.kernel @ np.asarray(xi, dtype=complex)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if other.target != self.source:
             raise ValueError("spaces do not chain")
         if other.p != self.p:
             raise ValueError("exponent mismatch")
-        return OperatorMatrix(other.source, self.target, self.p, self.entries @ other.entries)
+        return OperatorMatrix(other.source, self.target, self.p, self.kernel @ other.kernel)
 
     def __repr__(self):
         return f"OperatorMatrix({len(self.target)}x{len(self.source)}, p={self.p:g})"

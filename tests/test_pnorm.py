@@ -3,6 +3,7 @@ sampling oracle, and their agreement."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import lpcuntz as lp
 
@@ -247,3 +248,115 @@ def test_norm_sequence_level_range_error():
     a = lp.monomial(k, (), (1, 1, 1))
     with pytest.raises(ValueError):
         lp.norm_sequence(rep, a, 2)  # t-depth 3 > n_max
+
+
+def test_oracle_reports_compass_iterations():
+    # iterations counts the compass search it ran, summed over its starts,
+    # whatever the number of samples
+    A = op([[2.0, -1.0, 0.5], [1.0, 1.0j, 0.0], [0.0, 0.5, 1.5]], 3.0)
+    assert lp.oracle_grid(A, samples=512, seed=0).iterations == 1365
+    assert lp.oracle_grid(A, samples=2048, seed=0).iterations == 1367
+
+
+def random_kernel(rng, m, n, nonnegative):
+    """Random CSR kernel with about four nonzeros per column."""
+    nnz = 4 * n
+    rows, cols = rng.integers(0, m, nnz), rng.integers(0, n, nnz)
+    values = rng.uniform(0.1, 1.0, nnz)
+    if not nonnegative:
+        values = values * np.exp(2j * np.pi * rng.uniform(size=nnz))
+    return sparse.csr_matrix((values, (rows, cols)), shape=(m, n))
+
+
+def test_power_estimate_same_on_dense_and_csr():
+    from lpcuntz.pnorm import SPARSE_MIN_SIZE
+
+    rng = np.random.default_rng(21)
+    for m, n in ((8, 6), (160, 120)):
+        src = lp.FiniteMeasureSpace(range(n), rng.uniform(0.5, 2, n))
+        tgt = lp.FiniteMeasureSpace(range(m), rng.uniform(0.5, 2, m))
+        assert (m * n > SPARSE_MIN_SIZE) == (m > 100)
+        for nonnegative in (True, False):
+            K = random_kernel(rng, m, n, nonnegative)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                held_csr = lp.OperatorMatrix(src, tgt, p, K)
+                held_dense = lp.OperatorMatrix(src, tgt, p, K.toarray())
+                a = lp.power_estimate(held_csr, restarts=6, seed=3)
+                b = lp.power_estimate(held_dense, restarts=6, seed=3)
+                assert a.estimate == pytest.approx(b.estimate, rel=1e-12, abs=0)
+                assert (a.iterations, a.method) == (b.iterations, b.method)
+                assert np.array_equal(held_csr.entries, held_dense.entries)
+                assert not held_csr.entries.flags.writeable
+                assert not held_dense.entries.flags.writeable
+
+
+def test_generator_operator_does_not_alias_cached_matrix():
+    rep = lp.interval_rep(2, 3.0)
+    A = rep.generator_operator("s", 1, 3)
+    cached = rep.s_matrix(1, 3)
+    assert not np.shares_memory(A.kernel.data, cached.data)
+    with pytest.raises(ValueError):
+        A.kernel.data[0] = 0.0
+    with pytest.raises(ValueError):
+        A.entries[0, 0] = 0.0
+    assert np.array_equal(A.entries, cached.toarray())
+
+
+def single_start_boyd(B, p, x0, tol, max_iter):
+    """Reference: one run of the Boyd fixed-point iteration from x0;
+    returns (gamma, x, iterations, converged)."""
+    from lpcuntz.pnorm import _phase_power
+
+    q = p / (p - 1.0)
+    x = np.asarray(x0, dtype=complex)
+    x = x / lp.lp_norm(x, p)
+    best_gamma, best_x = 0.0, x
+    gamma_prev = -1.0
+    for it in range(1, max_iter + 1):
+        y = B @ x
+        gamma = lp.lp_norm(y, p)
+        if gamma > best_gamma:
+            best_gamma, best_x = gamma, x
+        if gamma == 0.0:
+            return 0.0, x, it, True
+        z = B.conj().T @ _phase_power(y, p - 1.0)
+        znorm = lp.lp_norm(z, q)
+        pairing = float(np.real(np.vdot(z, x)))
+        if znorm <= pairing * (1.0 + tol) or abs(gamma - gamma_prev) <= tol * gamma:
+            return best_gamma, best_x, it, True
+        gamma_prev = gamma
+        xn = _phase_power(z / max(np.abs(z).max(), 1e-300), q - 1.0)
+        nx = lp.lp_norm(xn, p)
+        if nx == 0:
+            return best_gamma, best_x, it, True
+        x = xn / nx
+    return best_gamma, best_x, max_iter, False
+
+
+def test_block_multistart_matches_single_starts():
+    from lpcuntz.pnorm import _boyd_block
+
+    rng = np.random.default_rng(8)
+    stops = set()
+    for trial in range(6):
+        m, n, k = int(rng.integers(3, 30)), int(rng.integers(2, 20)), 12
+        p = (1.5, 3.0, 4.5)[trial % 3]
+        B = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        B[:, -1] = 0.0
+        X0 = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        X0[:, 0] = np.eye(n)[-1]  # a start in the kernel of B
+        gammas, _, iterations, converged = _boyd_block(B, p, X0, 1e-12, 60)
+        reference = [single_start_boyd(B, p, X0[:, i], 1e-12, 60) for i in range(k)]
+        assert list(iterations) == [r[2] for r in reference]
+        assert list(converged) == [r[3] for r in reference]
+        assert gammas.max() == pytest.approx(max(r[0] for r in reference), rel=1e-13, abs=0)
+        stops |= {(r[0] == 0.0, r[3]) for r in reference}
+        # power_estimate reports the per-start sum over its own starts
+        starts = [np.ones(n), *np.eye(n)[: min(n, 4)]]
+        seeded = np.random.default_rng(trial)
+        while len(starts) < k:
+            starts.append(seeded.standard_normal(n) + 1j * seeded.standard_normal(n))
+        res = lp.power_estimate(op(B, p), restarts=k, seed=trial)
+        assert res.iterations == sum(single_start_boyd(B, p, x, 1e-12, 600)[2] for x in starts)
+    # zero image, converged and max_iter starts all occurred
+    assert stops == {(True, True), (False, True), (False, False)}

@@ -3,6 +3,7 @@ derived representations, and the spatiality report."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import lpcuntz as lp
 from lpcuntz.leavitt import QC
@@ -560,3 +561,56 @@ def test_finite_rep_json_round_trip():
     back = finite_rep_from_json(data)
     assert finite_rep_to_json(back) == data
     assert np.abs(back.s_mats[1] - fr.s_mats[1]).max() == 0
+
+
+def loop_column_ratios(A):
+    """Reference: the norm ratio of each basis vector, one column at a time."""
+    out = []
+    for i in range(len(A.source)):
+        e = np.zeros(len(A.source))
+        e[i] = 1.0
+        out.append(lp.vector_norm(A.target, A.entries @ e, A.p) / lp.vector_norm(A.source, e, A.p))
+    return np.array(out)
+
+
+def loop_disjoint_columns(A):
+    abs_e = np.abs(A.entries)
+    cut = 1e-12 * max(1.0, float(abs_e.max(initial=0.0)))
+    seen = set()
+    for col in range(abs_e.shape[1]):
+        rows = set(np.nonzero(abs_e[:, col] > cut)[0])
+        if rows & seen:
+            return False
+        seen |= rows
+    return True
+
+
+def test_column_tests_match_loop_reference():
+    from lpcuntz.reps import _column_ratios, _is_isometry_matrix
+
+    rng = np.random.default_rng(12)
+    reps = [
+        lp.interval_rep(2, 3.0),
+        lp.fourier_twist(lp.interval_rep(2, 3.0)),
+        lp.free_rep(lp.sequence_rep(2, 1.5), 3),
+        lp.direct_sum_p([lp.sequence_rep(2, 3.0), lp.interval_rep(2, 3.0)]),
+    ]
+    seen = set()
+    for rep in reps:
+        s1, s2 = (rep.generator_operator("s", j, 3) for j in (1, 2))
+        lam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        combo = lam[0] * s1.kernel + lam[1] * s2.kernel
+        for kernel in (s1.kernel, combo, combo.toarray()):
+            A = lp.OperatorMatrix(s1.source, s1.target, rep.p, kernel)
+            ratios = _column_ratios(A)
+            assert np.abs(ratios - loop_column_ratios(A)).max() <= 1e-12
+            expected = loop_disjoint_columns(A) and np.abs(ratios - 1.0).max() <= 1e-8
+            assert _is_isometry_matrix(A, 1e-8) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+    # unit columns sharing a row are not an isometry, whatever the ratios
+    space = lp.FiniteMeasureSpace(range(2), [1.0, 1.0])
+    for kernel in ([[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        for held in (np.array(kernel), sparse.csr_matrix(kernel)):
+            A = lp.OperatorMatrix(space, space, 3.0, held)
+            assert _is_isometry_matrix(A, 1e-8) == loop_disjoint_columns(A)
