@@ -68,7 +68,6 @@ from .pnorm import (
     rank_one_exact,
 )
 from .reps import (
-    FiniteRep,
     GradedRep,
     SpatialityReport,
     block_scalar_twist,

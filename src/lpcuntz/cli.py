@@ -37,7 +37,7 @@ def _kind_of(args):
     name = getattr(args, "kind", "leavitt") or "leavitt"
     if name == "cohn":
         return cohn(args.d)
-    if name in ("linf", "leavitt_infinity"):
+    if name == "linf":
         return leavitt_infinity()
     return leavitt(args.d)
 
@@ -144,8 +144,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _norm_rows(rep, element, args):
-    seq = norm_sequence(
+def _norm_sequence(rep, element, args):
+    return norm_sequence(
         rep,
         element,
         args.nmax,
@@ -153,6 +153,10 @@ def _norm_rows(rep, element, args):
         seed=args.seed,
         stall_eps=args.tol if args.tol else 1e-3,
     )
+
+
+def _norm_rows(rep, element, args):
+    seq = _norm_sequence(rep, element, args)
     rows = []
     for level, res in zip(seq.levels, seq.results):
         rows.append(
@@ -294,14 +298,7 @@ def cmd_compare_reps(args) -> int:
     lines = [f"norm profile of {args.element!r} at p = {args.p}"]
     for descriptor in args.reps:
         rep = rep_from_descriptor(descriptor, args.d, float(args.p))
-        seq = norm_sequence(
-            rep,
-            element,
-            args.nmax,
-            restarts=args.restarts,
-            seed=args.seed,
-            stall_eps=args.tol if args.tol else 1e-3,
-        )
+        seq = _norm_sequence(rep, element, args)
         rows.append(
             {
                 "rep": descriptor,
@@ -399,9 +396,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

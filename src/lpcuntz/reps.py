@@ -8,12 +8,9 @@ Evaluation of an algebra element at level N restricts the represented
 operator to V_N; because V_N is invariant under the monomial flow and
 exhausts the space, the truncated norms increase to the true norm.
 
-A FiniteRep stores explicit generator matrices on a single space.  The
-defining relations of L_d and C_d force d * dim <= dim, so for d >= 2
-no nonzero finite-dimensional space carries them; FiniteRep therefore
-only admits restricted families (e.g. a single generator pair of the
-infinite Leavitt algebra) and the graded constructors below are the
-workhorses.
+The relations t_j s_k = delta_jk and sum_j s_j t_j = 1 force
+d * dim <= dim, so for d >= 2 no nonzero finite-dimensional space
+carries them, and every representation here is graded.
 """
 
 from __future__ import annotations
@@ -47,8 +44,6 @@ from .spatial import (
     vector_norm,
 )
 
-RELATION_TOL = 1e-12
-
 
 class GradedRep:
     """Level-graded representation; all fields fixed at construction."""
@@ -71,15 +66,10 @@ class GradedRep:
         self.s_matrix = lru_cache(maxsize=None)(s_fn)
         self.t_matrix = lru_cache(maxsize=None)(t_fn)
         self.inclusion = lru_cache(maxsize=None)(inclusion_fn)
-        self._known_system_fn = known_system_fn
         if known_system_fn is not None:
             self.known_system = lru_cache(maxsize=None)(known_system_fn)
         else:
             self.known_system = lambda j, level: None
-
-    @property
-    def structure(self) -> str:
-        return "graded"
 
     @property
     def generators(self):
@@ -98,62 +88,6 @@ class GradedRep:
 
     def __repr__(self):
         return f"GradedRep({self.label}, {self.kind}, p={self.p:g})"
-
-
-class FiniteRep:
-    """Explicit generator matrices on one space; relations are verified
-    at construction within RELATION_TOL for the stored generator set."""
-
-    def __init__(self, kind, p, space, s_mats, t_mats, label, tol=RELATION_TOL):
-        self.kind = kind
-        self.p = float(p)
-        self.space = space
-        self.s_mats = {int(j): np.asarray(m, dtype=complex) for j, m in dict(s_mats).items()}
-        self.t_mats = {int(j): np.asarray(m, dtype=complex) for j, m in dict(t_mats).items()}
-        self.label = label
-        if set(self.s_mats) != set(self.t_mats):
-            raise ValueError("s and t images must cover the same generator indices")
-        n = len(space)
-        for m in list(self.s_mats.values()) + list(self.t_mats.values()):
-            if m.shape != (n, n):
-                raise ValueError("generator matrices must act on the given space")
-        residual = self.relation_residual()
-        if residual > tol:
-            raise ValueError(
-                f"defining relations violated: max residual {residual:.3e} > {tol:g}"
-            )
-
-    @property
-    def structure(self) -> str:
-        return "finite"
-
-    @property
-    def generators(self):
-        return tuple(sorted(self.s_mats))
-
-    def relation_residual(self) -> float:
-        n = len(self.space)
-        eye = np.eye(n)
-        worst = 0.0
-        for j, tj in self.t_mats.items():
-            for k, sk in self.s_mats.items():
-                target = eye if j == k else 0.0
-                worst = max(worst, float(np.abs(tj @ sk - target).max()))
-        if self.kind.has_sum_relation and set(self.s_mats) == set(
-            range(1, self.kind.d + 1)
-        ):
-            acc = sum(self.s_mats[j] @ self.t_mats[j] for j in self.s_mats)
-            worst = max(worst, float(np.abs(acc - eye).max()))
-        return worst
-
-    def generator_operator(self, family, j, level=None) -> OperatorMatrix:
-        mats = self.s_mats if family == "s" else self.t_mats
-        if j not in mats:
-            raise ValueError(f"generator {family}_{j} is not represented")
-        return OperatorMatrix(self.space, self.space, self.p, mats[j])
-
-    def __repr__(self):
-        return f"FiniteRep({self.label}, {self.kind}, p={self.p:g})"
 
 
 # -- constructors ---------------------------------------------------------
@@ -325,8 +259,6 @@ def direct_sum_p(reps) -> GradedRep:
     for r in reps[1:]:
         if r.kind != first.kind or r.p != first.p:
             raise ValueError("direct sum needs matching kind and exponent")
-        if r.structure != "graded":
-            raise ValueError("direct sums are implemented for graded summands")
 
     def space_fn(level):
         return disjoint_union([r.space(level) for r in reps])
@@ -377,6 +309,8 @@ def direct_sum_p(reps) -> GradedRep:
 def tensor_identity(rep: GradedRep, aux: FiniteMeasureSpace) -> GradedRep:
     """Tensor with the identity on a fixed auxiliary space; norms of all
     represented elements are unchanged."""
+    if len(aux) < 1:
+        raise ValueError("auxiliary space must have at least one atom")
     eye = sparse.identity(len(aux), dtype=complex, format="csr")
 
     def space_fn(level):
@@ -461,17 +395,12 @@ def _pairing_adjoint_sparse(mat, source_weights, target_weights):
     return (left @ m @ right).tocsr()
 
 
-def dual_rep(rep):
+def dual_rep(rep: GradedRep) -> GradedRep:
     """Dual representation on the conjugate exponent: generator images
     are the pairing-adjoints with the s and t roles swapped."""
     if rep.p == 1.0:
         raise ValueError("duals of p = 1 representations are unsupported")
     q = conjugate_exponent(rep.p)
-    if rep.structure == "finite":
-        w = rep.space.weights
-        s_mats = {j: (rep.t_mats[j].T * w[None, :]) / w[:, None] for j in rep.generators}
-        t_mats = {j: (rep.s_mats[j].T * w[None, :]) / w[:, None] for j in rep.generators}
-        return FiniteRep(rep.kind, q, rep.space, s_mats, t_mats, f"dual({rep.label})")
 
     def s_fn(j, level):
         # adjoint of t_j: V_{level+1} -> V_level, raising the level
@@ -501,29 +430,15 @@ def dual_rep(rep):
     )
 
 
-def twist_by_invertible(rep, u, check_levels: int = 2):
+def twist_by_invertible(rep: GradedRep, u, check_levels: int = 2) -> GradedRep:
     """Conjugation-style twist: s_j -> u s_j and t_j -> t_j u^(-1).
 
-    For a FiniteRep, u is a matrix (or scalar) on its space.  For a
-    GradedRep, u is a scalar or a callable level -> matrix on V_level;
-    it must respect the nesting (commute with the inclusions) for
-    truncated evaluation to stay consistent, which holds for scalars and
-    blockwise scalars on direct sums.  The condition number of u is
-    recorded on the result as ``u_condition``.
+    u is a scalar or a callable level -> matrix on V_level; it must
+    respect the nesting (commute with the inclusions) for truncated
+    evaluation to stay consistent, which holds for scalars and blockwise
+    scalars on direct sums.  The condition number of u is recorded on
+    the result as ``u_condition``.
     """
-    if rep.structure == "finite":
-        n = len(rep.space)
-        u_mat = np.asarray(u, dtype=complex) if not np.isscalar(u) else np.eye(n) * u
-        cond = float(np.linalg.cond(u_mat))
-        if not np.isfinite(cond):
-            raise ValueError("u is singular")
-        u_inv = np.linalg.inv(u_mat)
-        s_mats = {j: u_mat @ rep.s_mats[j] for j in rep.generators}
-        t_mats = {j: rep.t_mats[j] @ u_inv for j in rep.generators}
-        out = FiniteRep(rep.kind, rep.p, rep.space, s_mats, t_mats, f"twist({rep.label})")
-        out.u_condition = cond
-        return out
-
     if np.isscalar(u):
         scalar = complex(u)
         if scalar == 0:
@@ -582,45 +497,10 @@ def block_scalar_twist(rep_sum: GradedRep, scalars, components):
     return twist_by_invertible(rep_sum, u_of)
 
 
-def finite_rep_to_json(rep: FiniteRep) -> dict:
-    from .measure import space_to_json
-
-    def mat_json(m):
-        return [[{"re": z.real, "im": z.imag} for z in row] for row in m]
-
-    return {
-        "constructor": "finite",
-        "kind": rep.kind.family,
-        "d": rep.kind.d,
-        "p": repr(rep.p),
-        "label": rep.label,
-        "space": space_to_json(rep.space),
-        "s": {str(j): mat_json(m) for j, m in sorted(rep.s_mats.items())},
-        "t": {str(j): mat_json(m) for j, m in sorted(rep.t_mats.items())},
-    }
-
-
-def finite_rep_from_json(data: dict) -> FiniteRep:
-    from .measure import space_from_json
-
-    kind = AlgebraKind(data["kind"], data["d"])
-    space = space_from_json(data["space"])
-
-    def mat(entries):
-        return np.array(
-            [[complex(e["re"], e["im"]) for e in row] for row in entries],
-            dtype=complex,
-        )
-
-    s_mats = {int(j): mat(m) for j, m in data["s"].items()}
-    t_mats = {int(j): mat(m) for j, m in data["t"].items()}
-    return FiniteRep(kind, float(data["p"]), space, s_mats, t_mats, data["label"])
-
-
 # -- evaluation -----------------------------------------------------------
 
 
-def evaluate(rep, a: AlgebraElement, level: int, reduce: bool = True) -> OperatorMatrix:
+def evaluate(rep: GradedRep, a: AlgebraElement, level: int, reduce: bool = True) -> OperatorMatrix:
     """Matrix of the represented element on V_level.
 
     The element is put in canonical form (unless ``reduce`` is False,
@@ -634,22 +514,6 @@ def evaluate(rep, a: AlgebraElement, level: int, reduce: bool = True) -> Operato
         raise ValueError(f"element kind {a.kind} does not match rep kind {rep.kind}")
     if reduce:
         a = normal_form(a)
-
-    if rep.structure == "finite":
-        n = len(rep.space)
-        total = np.zeros((n, n), dtype=complex)
-        for (alpha, beta), coeff in a.terms.items():
-            mat = np.eye(n, dtype=complex)
-            for letter in beta:
-                if letter not in rep.t_mats:
-                    raise ValueError(f"generator t_{letter} is not represented")
-                mat = rep.t_mats[letter] @ mat
-            for letter in reversed(alpha):
-                if letter not in rep.s_mats:
-                    raise ValueError(f"generator s_{letter} is not represented")
-                mat = rep.s_mats[letter] @ mat
-            total += coeff.to_complex() * mat
-        return OperatorMatrix(rep.space, rep.space, rep.p, total)
 
     depth = a.t_depth()
     if level < depth:
@@ -676,7 +540,7 @@ def evaluate(rep, a: AlgebraElement, level: int, reduce: bool = True) -> Operato
     return OperatorMatrix(rep.space(level), rep.space(level + k_max), rep.p, total)
 
 
-def check_relations(rep, max_level: int) -> float:
+def check_relations(rep: GradedRep, max_level: int) -> float:
     """Max residual of the defining relations on levels up to max_level:
     t_j s_k = delta_{jk} on V_N for N < max_level and, for Leavitt
     kinds, sum_j s_j t_j = 1 on V_N for 1 <= N <= max_level."""
@@ -687,8 +551,6 @@ def check_relations(rep, max_level: int) -> float:
 
     worst = 0.0
     gens = rep.generators
-    if rep.structure == "finite":
-        return rep.relation_residual()
     for level in range(0, max_level):
         n = len(rep.space(level))
         eye = sparse.identity(n, dtype=complex, format="csr")
@@ -802,7 +664,7 @@ def _column_ratios(A: OperatorMatrix) -> np.ndarray:
 
 
 def spatiality_report(
-    rep,
+    rep: GradedRep,
     depth: int = 2,
     seed: int = 0,
     samples: int = 50,
@@ -818,7 +680,7 @@ def spatiality_report(
     check against constructor-supplied systems when present and is
     reported as undecided otherwise.
     """
-    from .pnorm import power_estimate
+    from .pnorm import lp_norm, power_estimate
 
     p = rep.p
     q = conjugate_exponent(p)
@@ -903,7 +765,7 @@ def spatiality_report(
     if p == 2.0:
         have_systems = all(
             rep.known_system(j, level) is not None for j in rep.generators
-        ) if rep.structure == "graded" else False
+        )
         if have_systems:
             spatial_note = "p = 2: constructor systems + reverse law"
             for j in rep.generators:
@@ -946,7 +808,7 @@ def spatiality_report(
     for lam in lams:
         A = _s_lambda_operator(rep, lam, level, s_ops)
         est = power_estimate(A, restarts=8, seed=seed).estimate
-        expected = lp_vec_norm(lam, p)
+        expected = lp_norm(lam, p)
         if abs(est - expected) > norm_tol * max(1.0, expected):
             ps_value = False
             ps_witness = {"lambda": [str(z) for z in lam], "norm": est, "expected": expected}
@@ -961,7 +823,7 @@ def spatiality_report(
         )
         A = OperatorMatrix(t_ops[1].source, t_ops[1].target, p, entries)
         est = power_estimate(A, restarts=8, seed=seed).estimate
-        expected = lp_vec_norm(lam, q)
+        expected = lp_norm(lam, q)
         if abs(est - expected) > norm_tol * max(1.0, expected):
             pt_value = False
             pt_witness = {"gamma": [str(z) for z in lam], "norm": est, "expected": expected}
@@ -994,7 +856,7 @@ def spatiality_report(
             break
         diag_supports.append(set(res))
     if md_value:
-        all_atoms = set(rep.space(level).atoms) if rep.structure == "graded" else set(rep.space.atoms)
+        all_atoms = set(rep.space(level).atoms)
         union = set().union(*diag_supports) if diag_supports else set()
         if union != all_atoms or any(
             diag_supports[i] & diag_supports[j]
@@ -1027,13 +889,6 @@ def spatiality_report(
         conditions=conditions,
         violations=tuple(violations),
     )
-
-
-def lp_vec_norm(lam, p: float) -> float:
-    lam = np.asarray(lam)
-    if p == np.inf:
-        return float(np.max(np.abs(lam), initial=0.0))
-    return float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
 
 
 def _s_lambda_operator(rep, lam, level, s_ops) -> OperatorMatrix:

@@ -434,27 +434,25 @@ def classify_idempotent(A: OperatorMatrix, tol: float = MATRIX_TOL):
     is diagonal with entries 0 or 1, returning the support atoms."""
     if A.source != A.target:
         raise ValueError("idempotents act on a single space")
-    n = len(A.source)
-    support = []
-    for i in range(n):
-        for j in range(n):
-            value = A.entries[i, j]
-            if i != j:
-                if abs(value) > tol:
-                    return Rejection(
-                        "off-diagonal entry",
-                        {"row": str(A.target.atoms[i]), "column": str(A.source.atoms[j]),
-                         "value": [value.real, value.imag]},
-                    )
-            else:
-                if abs(value - 1.0) <= tol:
-                    support.append(A.source.atoms[i])
-                elif abs(value) > tol:
-                    return Rejection(
-                        "diagonal entry not 0 or 1",
-                        {"row": str(A.target.atoms[i]), "value": [value.real, value.imag]},
-                    )
-    return tuple(support)
+    B = A.entries
+    diagonal = np.eye(len(A.source), dtype=bool)
+    unit = np.abs(B - 1.0) <= tol
+    bad = (np.abs(B) > tol) & ~(diagonal & unit)
+    if bad.any():
+        # the first fault in row-major order
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        value = B[i, j]
+        if i != j:
+            return Rejection(
+                "off-diagonal entry",
+                {"row": str(A.target.atoms[i]), "column": str(A.source.atoms[j]),
+                 "value": [value.real, value.imag]},
+            )
+        return Rejection(
+            "diagonal entry not 0 or 1",
+            {"row": str(A.target.atoms[i]), "value": [value.real, value.imag]},
+        )
+    return tuple(A.source.atoms[i] for i in np.flatnonzero(np.diagonal(unit)))
 
 
 # -- JSON ------------------------------------------------------------------

@@ -37,6 +37,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "--p", "abc", "s1"),
+        ("norm", "--rep", "nope", "s1"),
+        ("norm", "--rep", "free:sequence:x", "s1"),
+        ("norm", "--p", "0.5", "s1"),
+        ("norm", "--rep", "tensor:sequence:0", "s1"),
+        ("report-spatiality", "--rep", "tensor:sequence:0"),
+        ("eval", "--level", "-1", "1"),
+        ("lamperti", "no-such-dir/missing.json"),
+    ],
+)
+def test_bad_input_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
 def test_mul(capsys):
     code, out, _ = run(capsys, "mul", "-d", "2", "s1*t2", "s2*t1")
     assert code == 0 and out.strip() == "s1*t1"

@@ -1,5 +1,5 @@
-"""Graded and finite representations: constructors, evaluation,
-derived representations, and the spatiality report."""
+"""Graded representations: constructors, evaluation, derived
+representations, and the spatiality report."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,7 @@ from scipy import sparse
 
 import lpcuntz as lp
 from lpcuntz.leavitt import QC
-from lpcuntz.reps import (
-    FiniteRep,
-    block_scalar_twist,
-    finite_rep_from_json,
-    finite_rep_to_json,
-)
+from lpcuntz.reps import block_scalar_twist
 
 K2 = lp.leavitt(2)
 
@@ -294,6 +289,8 @@ def test_tensor_identity():
         n1 = lp.power_estimate(lp.evaluate(seq, el, 2), restarts=16, seed=1).estimate
         n2 = lp.power_estimate(lp.evaluate(bigger, el, 2), restarts=16, seed=1).estimate
         assert n1 == pytest.approx(n2, abs=1e-6)
+    with pytest.raises(ValueError):
+        lp.tensor_identity(seq, lp.FiniteMeasureSpace([], []))
 
 
 def test_free_rep_structure():
@@ -502,65 +499,6 @@ def test_embedding_pairing_symbolic_and_operator():
     coef = sum((g * l).to_complex() for g, l in zip(gam, lam))
     incl = (rep.inclusion(3) @ rep.inclusion(2)).toarray()
     assert np.abs(pair - coef * incl).max() < 1e-10
-
-
-# -- finite representations -----------------------------------------------------------------
-
-
-def cyclic_finite_rep():
-    kinf = lp.leavitt_infinity()
-    space = lp.FiniteMeasureSpace(["a", "b", "c"], [1.0, 2.0, 0.5])
-    perm = np.zeros((3, 3), dtype=complex)
-    perm[1, 0] = perm[2, 1] = perm[0, 2] = 1.0
-    return FiniteRep(kinf, 3.0, space, {1: perm}, {1: np.linalg.inv(perm)}, "cycle")
-
-
-def test_finite_rep_single_generator_family():
-    fr = cyclic_finite_rep()
-    assert fr.relation_residual() == 0.0
-    kinf = lp.leavitt_infinity()
-    a = lp.monomial(kinf, (1, 1), (1,))
-    M = lp.evaluate(fr, a, 0)
-    assert np.abs(M.entries - fr.s_mats[1]).max() == 0
-    with pytest.raises(ValueError):
-        lp.evaluate(fr, lp.gen_s(kinf, 2), 0)
-
-
-def test_finite_rep_rejects_relation_violations():
-    # no finite space carries the full relations for d >= 2: each t_j s_j = 1
-    # with zero cross products forces d * dim <= dim
-    space = lp.FiniteMeasureSpace(range(4), [1.0] * 4)
-    with pytest.raises(ValueError):
-        FiniteRep(
-            K2,
-            3.0,
-            space,
-            {1: np.eye(4), 2: np.eye(4)},
-            {1: np.eye(4), 2: np.eye(4)},
-            "impossible",
-        )
-
-
-def test_finite_rep_twist_and_dual():
-    fr = cyclic_finite_rep()
-    u = np.diag([1.0, 0.5, 2.0])
-    tw = lp.twist_by_invertible(fr, u)
-    assert tw.relation_residual() < 1e-12
-    assert tw.u_condition == pytest.approx(4.0)
-    assert np.abs(tw.s_mats[1] - u @ fr.s_mats[1]).max() == 0
-    du = lp.dual_rep(fr)
-    assert du.p == pytest.approx(1.5)
-    assert du.relation_residual() < 1e-12
-    with pytest.raises(ValueError):
-        lp.twist_by_invertible(fr, np.zeros((3, 3)))
-
-
-def test_finite_rep_json_round_trip():
-    fr = cyclic_finite_rep()
-    data = finite_rep_to_json(fr)
-    back = finite_rep_from_json(data)
-    assert finite_rep_to_json(back) == data
-    assert np.abs(back.s_mats[1] - fr.s_mats[1]).max() == 0
 
 
 def loop_column_ratios(A):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import lpcuntz as lp
 from lpcuntz.measure import rn_derivative
@@ -270,6 +271,60 @@ def test_classify_idempotent():
     assert isinstance(res, Rejection) and res.reason == "off-diagonal entry"
     half = lp.OperatorMatrix(space, space, 2.0, np.diag([0.5, 0, 0]))
     assert isinstance(lp.classify_idempotent(half), Rejection)
+
+
+def loop_classify_idempotent(A, tol):
+    """Reference: scan the entries one at a time in row-major order."""
+    n = len(A.source)
+    support = []
+    for i in range(n):
+        for j in range(n):
+            value = A.entries[i, j]
+            if i != j:
+                if abs(value) > tol:
+                    return Rejection(
+                        "off-diagonal entry",
+                        {"row": str(A.target.atoms[i]), "column": str(A.source.atoms[j]),
+                         "value": [value.real, value.imag]},
+                    )
+            else:
+                if abs(value - 1.0) <= tol:
+                    support.append(A.source.atoms[i])
+                elif abs(value) > tol:
+                    return Rejection(
+                        "diagonal entry not 0 or 1",
+                        {"row": str(A.target.atoms[i]), "value": [value.real, value.imag]},
+                    )
+    return tuple(support)
+
+
+@pytest.mark.parametrize("held", ["dense", "csr"])
+def test_classify_idempotent_matches_loop_reference(held):
+    space = lp.FiniteMeasureSpace(list("abcdef"), [1.0, 2.0, 0.5, 1.0, 3.0, 1.0])
+    accepted = np.diag([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]).astype(complex)
+    accepted[1, 1] = 1e-12  # below the tolerance: not in the support
+    off_first = accepted.copy()
+    off_first[2, 4] = 0.25 - 0.5j
+    off_first[3, 3] = 0.5  # a later bad diagonal
+    off_first[5, 0] = 2.0  # a later off-diagonal entry
+    diag_first = accepted.copy()
+    diag_first[2, 2] = 1j
+    diag_first[2, 3] = 0.5  # a later off-diagonal entry in the same row
+    diag_first[4, 1] = 0.75
+    cases = [
+        (accepted, None),
+        (off_first, "off-diagonal entry"),
+        (diag_first, "diagonal entry not 0 or 1"),
+    ]
+    for B, reason in cases:
+        kernel = sparse.csr_matrix(B) if held == "csr" else B
+        A = lp.OperatorMatrix(space, space, 3.0, kernel)
+        got = lp.classify_idempotent(A, tol=1e-9)
+        assert got == loop_classify_idempotent(A, 1e-9)
+        if reason is None:
+            assert got == ("a", "c", "d", "f")
+        else:
+            assert isinstance(got, Rejection) and got.reason == reason
 
 
 def test_homotopy_rigidity_witness():
