@@ -251,6 +251,8 @@ def _jsonable(value):
 def cmd_lamperti(args) -> int:
     with open(args.matrix) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.matrix}: matrix JSON must be an object")
     if args.p is not None:
         data["p"] = args.p
     matrix = matrix_from_json(data)

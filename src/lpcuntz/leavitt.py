@@ -263,15 +263,9 @@ class AlgebraElement:
     def coefficient(self, alpha, beta) -> QC:
         return self.terms.get((tuple(alpha), tuple(beta)), QC_ZERO)
 
-    def degrees(self):
-        return sorted({len(a) - len(b) for (a, b) in self.terms})
-
     def t_depth(self) -> int:
         """Largest l(beta) over the terms (0 for the zero element)."""
         return max((len(b) for (_, b) in self.terms), default=0)
-
-    def s_height(self) -> int:
-        return max((len(a) for (a, _) in self.terms), default=0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -578,13 +572,3 @@ def linear_comb_t(kind: AlgebraKind, lam) -> AlgebraElement:
         if not coeff.is_zero():
             terms[((), (j,))] = coeff
     return AlgebraElement(kind, terms, _trusted=True)
-
-
-def word_element(kind: AlgebraKind, letters, kind_of_gen: str) -> AlgebraElement:
-    """s_alpha or t_alpha for a word alpha (products of generators)."""
-    letters = tuple(letters)
-    if kind_of_gen == "s":
-        return monomial(kind, letters, ())
-    if kind_of_gen == "t":
-        return monomial(kind, (), letters)
-    raise ValueError("generator family must be 's' or 't'")

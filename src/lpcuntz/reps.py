@@ -23,24 +23,15 @@ import numpy as np
 from scipy import sparse
 
 from .leavitt import AlgebraElement, AlgebraKind, leavitt, monomial, normal_form
-from .measure import (
-    FiniteMeasureSpace,
-    SetTransformation,
-    disjoint_union,
-    product_space,
-)
+from .measure import FiniteMeasureSpace, disjoint_union, product_space
 from .spatial import (
     OperatorMatrix,
     Rejection,
-    SpatialSystem,
     classify_idempotent,
     conjugate_exponent,
     detect,
-    dual as dual_system,
-    identity_system,
     materialize,
     reverse as reverse_system,
-    tensor_systems,
     vector_norm,
 )
 
@@ -57,7 +48,6 @@ class GradedRep:
         t_fn,
         inclusion_fn,
         label: str,
-        known_system_fn=None,
     ):
         self.kind = kind
         self.p = float(p)
@@ -66,10 +56,6 @@ class GradedRep:
         self.s_matrix = lru_cache(maxsize=None)(s_fn)
         self.t_matrix = lru_cache(maxsize=None)(t_fn)
         self.inclusion = lru_cache(maxsize=None)(inclusion_fn)
-        if known_system_fn is not None:
-            self.known_system = lru_cache(maxsize=None)(known_system_fn)
-        else:
-            self.known_system = lambda j, level: None
 
     @property
     def generators(self):
@@ -130,23 +116,7 @@ def interval_rep(d: int, p: float) -> GradedRep:
             (np.ones(d * n, dtype=complex), (rows, cols)), shape=(d * n, n)
         )
 
-    def known_system_fn(j, level):
-        dom = space_fn(level)
-        cod = space_fn(level + 1)
-        n = d**level
-        blocks = {i: frozenset([(j - 1) * n + i]) for i in range(n)}
-        transform = SetTransformation(dom, cod.subspace(blocks_range(blocks)), blocks)
-        F = tuple(sorted(blocks_range(blocks)))
-        return SpatialSystem(dom, cod, dom.atoms, F, transform, {y: 1.0 for y in F})
-
-    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"interval(d={d})", known_system_fn)
-
-
-def blocks_range(blocks) -> set:
-    out = set()
-    for b in blocks.values():
-        out |= b
-    return out
+    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"interval(d={d})")
 
 
 def sequence_rep(d: int, p: float) -> GradedRep:
@@ -185,15 +155,7 @@ def sequence_rep(d: int, p: float) -> GradedRep:
             shape=(d * n, n),
         )
 
-    def known_system_fn(j, level):
-        dom = space_fn(level)
-        cod = space_fn(level + 1)
-        blocks = {x: frozenset([d * (x - 1) + j]) for x in dom.atoms}
-        F = tuple(sorted(blocks_range(blocks)))
-        transform = SetTransformation(dom, cod.subspace(F), blocks)
-        return SpatialSystem(dom, cod, dom.atoms, F, transform, {y: 1.0 for y in F})
-
-    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"sequence(d={d})", known_system_fn)
+    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"sequence(d={d})")
 
 
 def fourier_twist(rep: GradedRep, verify_levels: int = 2, tol: float = 1e-10) -> GradedRep:
@@ -278,31 +240,9 @@ def direct_sum_p(reps) -> GradedRep:
             [r.inclusion(level) for r in reps], format="csr"
         )
 
-    def known_system_fn(j, level):
-        systems = [r.known_system(j, level) for r in reps]
-        if any(sys is None for sys in systems):
-            return None
-        dom = space_fn(level)
-        cod = disjoint_union([r.space(level + 1) for r in reps])
-        blocks = {}
-        g = {}
-        E = []
-        F = []
-        for i, sys in enumerate(systems):
-            for x in sys.E:
-                E.append((i, x))
-                block = frozenset((i, y) for y in sys.block(x))
-                blocks[(i, x)] = block
-            for y in sys.F:
-                F.append((i, y))
-                g[(i, y)] = sys.g[y]
-        transform = SetTransformation(dom.subspace(E), cod.subspace(F), blocks)
-        return SpatialSystem(dom, cod, E, F, transform, g)
-
     label = " (+) ".join(r.label for r in reps)
     return GradedRep(
-        first.kind, first.p, space_fn, s_fn, t_fn, inclusion_fn,
-        f"sum[{label}]", known_system_fn,
+        first.kind, first.p, space_fn, s_fn, t_fn, inclusion_fn, f"sum[{label}]"
     )
 
 
@@ -325,24 +265,8 @@ def tensor_identity(rep: GradedRep, aux: FiniteMeasureSpace) -> GradedRep:
     def inclusion_fn(level):
         return sparse.kron(rep.inclusion(level), eye, format="csr")
 
-    def known_system_fn(j, level):
-        sys = rep.known_system(j, level)
-        if sys is None:
-            return None
-        return tensor_systems(sys, identity_system(aux))
-
     return GradedRep(
-        rep.kind, rep.p, space_fn, s_fn, t_fn, inclusion_fn,
-        f"tensor[{rep.label}, {len(aux)}]", known_system_fn,
-    )
-
-
-def _cyclic_shift_system(n: int) -> SpatialSystem:
-    space = FiniteMeasureSpace(range(n), [1.0] * n)
-    blocks = {m: frozenset([(m + 1) % n]) for m in range(n)}
-    transform = SetTransformation(space, space, blocks)
-    return SpatialSystem(
-        space, space, space.atoms, space.atoms, transform, {m: 1.0 for m in range(n)}
+        rep.kind, rep.p, space_fn, s_fn, t_fn, inclusion_fn, f"tensor[{rep.label}, {len(aux)}]"
     )
 
 
@@ -360,8 +284,6 @@ def free_rep(rep: GradedRep, n: int) -> GradedRep:
     shift_inv = shift.T.tocsr()
     eye = sparse.identity(n, dtype=complex, format="csr")
     zspace = FiniteMeasureSpace(range(n), [1.0] * n)
-    shift_sys = _cyclic_shift_system(n)
-    rev_shift_sys = reverse_system(shift_sys)
 
     def space_fn(level):
         return product_space(rep.space(level), zspace)
@@ -375,15 +297,8 @@ def free_rep(rep: GradedRep, n: int) -> GradedRep:
     def inclusion_fn(level):
         return sparse.kron(rep.inclusion(level), eye, format="csr")
 
-    def known_system_fn(j, level):
-        sys = rep.known_system(j, level)
-        if sys is None:
-            return None
-        return tensor_systems(sys, shift_sys)
-
     return GradedRep(
-        rep.kind, rep.p, space_fn, s_fn, t_fn, inclusion_fn,
-        f"free[{rep.label}, n={n}]", known_system_fn,
+        rep.kind, rep.p, space_fn, s_fn, t_fn, inclusion_fn, f"free[{rep.label}, n={n}]"
     )
 
 
@@ -418,16 +333,7 @@ def dual_rep(rep: GradedRep) -> GradedRep:
             rep.space(level).weights,
         )
 
-    def known_system_fn(j, level):
-        sys = rep.known_system(j, level)
-        if sys is None:
-            return None
-        return dual_system(reverse_system(sys), rep.p)[0]
-
-    return GradedRep(
-        rep.kind, q, rep.space, s_fn, t_fn, rep.inclusion,
-        f"dual({rep.label})", known_system_fn,
-    )
+    return GradedRep(rep.kind, q, rep.space, s_fn, t_fn, rep.inclusion, f"dual({rep.label})")
 
 
 def twist_by_invertible(rep: GradedRep, u, check_levels: int = 2) -> GradedRep:
@@ -573,6 +479,19 @@ def check_relations(rep: GradedRep, max_level: int) -> float:
     return worst
 
 
+def _reverse_law_gap(rep: GradedRep, s: OperatorMatrix, j: int, level: int) -> float | None:
+    """Max deviation of the stored t_j on V_{level+1} from the reverse of
+    the spatial system that the detector recovers from s = s_j on
+    V_level, or None unless s_j is a spatial isometry (accepted, spatial,
+    with full domain)."""
+    res = detect(s)
+    if not (res.accepted and res.spatial and len(res.system.E) == len(s.source)):
+        return None
+    t_expected = materialize(reverse_system(res.system), rep.p)
+    t_stored = rep.generator_operator("t", j, level + 1)
+    return float(np.abs(t_expected.entries - t_stored.entries).max())
+
+
 def reconstruct_t_from_s(rep: GradedRep, level: int) -> float:
     """Rebuild each t_j from s_j alone (detect the spatial system of
     s_j, reverse it, materialize) and return the max deviation from the
@@ -580,13 +499,10 @@ def reconstruct_t_from_s(rep: GradedRep, level: int) -> float:
     images this way."""
     worst = 0.0
     for j in rep.generators:
-        A = rep.generator_operator("s", j, level)
-        res = detect(A)
-        if not res.accepted or not res.spatial:
-            raise ValueError(f"s_{j} is not a spatial partial isometry at level {level}")
-        t_expected = materialize(reverse_system(res.system), rep.p)
-        t_stored = rep.generator_operator("t", j, level + 1)
-        worst = max(worst, float(np.abs(t_expected.entries - t_stored.entries).max()))
+        gap = _reverse_law_gap(rep, rep.generator_operator("s", j, level), j, level)
+        if gap is None:
+            raise ValueError(f"s_{j} is not a spatial isometry at level {level}")
+        worst = max(worst, gap)
     return worst
 
 
@@ -675,10 +591,12 @@ def spatiality_report(
     Norm conditions are tested on a seeded grid of coefficient vectors;
     the strong-forward-isometry test normalizes each s_lambda by its
     largest column ratio before running the detector (sampling is
-    declared in the notes, not hidden).  At p = 2 the detector cannot
-    certify spatiality, so that condition falls back to the reverse-law
-    check against constructor-supplied systems when present and is
-    reported as undecided otherwise.
+    declared in the notes, not hidden).  Spatiality is decided the same
+    way at every p: the detector must accept each s_j as a spatial
+    isometry and the reverse of its system must equal t_j.  At p = 2 a
+    pass still certifies spatiality, but a failure does not rule it out
+    (the detector's rejection is not a proof there), so it is reported
+    as undecided.
     """
     from .pnorm import lp_norm, power_estimate
 
@@ -721,7 +639,7 @@ def spatiality_report(
     sfi_value, sfi_witness = fi_value, dict(fi_witness)
     if fi_value:
         for lam in lams:
-            A = _s_lambda_operator(rep, lam, level, s_ops)
+            A = _combination(s_ops, lam)
             ratios = _column_ratios(A)
             c = float(ratios.max(initial=0.0))
             if c == 0.0:
@@ -758,55 +676,30 @@ def spatiality_report(
             break
     conditions["disjoint"] = Condition(disjoint_value, witness=disjoint_witness)
 
-    # spatial: detector plus reverse law (or constructor systems at p = 2)
-    spatial_value: bool | None = True
-    spatial_witness = {}
-    spatial_note = "detector + reverse law"
-    if p == 2.0:
-        have_systems = all(
-            rep.known_system(j, level) is not None for j in rep.generators
-        )
-        if have_systems:
-            spatial_note = "p = 2: constructor systems + reverse law"
-            for j in rep.generators:
-                sys = rep.known_system(j, level)
-                ok = (
-                    np.abs(materialize(sys, p).entries - s_ops[j].entries).max()
-                    <= 1e-9
-                )
-                t_next = rep.generator_operator("t", j, level + 1)
-                ok = ok and (
-                    np.abs(
-                        materialize(reverse_system(sys), p).entries - t_next.entries
-                    ).max()
-                    <= 1e-9
-                )
-                if not ok:
-                    spatial_value = False
-                    spatial_witness = {"generator": f"s_{j}"}
-                    break
+    # spatial: detector plus reverse law
+    spatial = Condition(True, note="detector + reverse law")
+    for j in rep.generators:
+        gap = _reverse_law_gap(rep, s_ops[j], j, level)
+        if gap is None:
+            witness = {"generator": f"s_{j}", "reason": "not a spatial isometry"}
+        elif gap > 1e-9:
+            witness = {"generator": f"t_{j}", "reason": "reverse law fails"}
         else:
-            spatial_value = None
-            spatial_note = "not decidable by detector at p = 2"
-    else:
-        for j in rep.generators:
-            res = detect(s_ops[j])
-            if not (res.accepted and res.spatial and len(res.system.E) == len(s_ops[j].source)):
-                spatial_value = False
-                spatial_witness = {"generator": f"s_{j}", "reason": "not a spatial isometry"}
-                break
-            t_next = rep.generator_operator("t", j, level + 1)
-            rev = materialize(reverse_system(res.system), p)
-            if np.abs(rev.entries - t_next.entries).max() > 1e-9:
-                spatial_value = False
-                spatial_witness = {"generator": f"t_{j}", "reason": "reverse law fails"}
-                break
-    conditions["spatial"] = Condition(spatial_value, note=spatial_note, witness=spatial_witness)
+            continue
+        spatial = Condition(False, note=spatial.note, witness=witness)
+        break
+    if p == 2.0:
+        spatial = (
+            Condition(True, note="p = 2: detector + reverse law")
+            if spatial.value
+            else Condition(None, note="not decidable by detector at p = 2")
+        )
+    conditions["spatial"] = spatial
 
     # p-standard on span(s_1..s_d)
     ps_value, ps_witness = True, {}
     for lam in lams:
-        A = _s_lambda_operator(rep, lam, level, s_ops)
+        A = _combination(s_ops, lam)
         est = power_estimate(A, restarts=8, seed=seed).estimate
         expected = lp_norm(lam, p)
         if abs(est - expected) > norm_tol * max(1.0, expected):
@@ -818,11 +711,7 @@ def spatiality_report(
     # p-standard on span(t_1..t_d), against the conjugate exponent
     pt_value, pt_witness = True, {}
     for lam in lams[: d + 1 + samples // 2]:
-        entries = sum(
-            complex(lam[j - 1]) * t_ops[j].kernel for j in rep.generators
-        )
-        A = OperatorMatrix(t_ops[1].source, t_ops[1].target, p, entries)
-        est = power_estimate(A, restarts=8, seed=seed).estimate
+        est = power_estimate(_combination(t_ops, lam), restarts=8, seed=seed).estimate
         expected = lp_norm(lam, q)
         if abs(est - expected) > norm_tol * max(1.0, expected):
             pt_value = False
@@ -891,9 +780,10 @@ def spatiality_report(
     )
 
 
-def _s_lambda_operator(rep, lam, level, s_ops) -> OperatorMatrix:
-    entries = sum(complex(lam[j - 1]) * s_ops[j].kernel for j in rep.generators)
-    return OperatorMatrix(s_ops[1].source, s_ops[1].target, rep.p, entries)
+def _combination(ops: dict, lam) -> OperatorMatrix:
+    """sum_j lam_j op_j over the generator operators ops = {j: op_j}."""
+    kernel = sum(complex(lam[j - 1]) * op.kernel for j, op in ops.items())
+    return OperatorMatrix(ops[1].source, ops[1].target, ops[1].p, kernel)
 
 
 _IMPLICATIONS = [

@@ -497,10 +497,17 @@ def matrix_to_json(A: OperatorMatrix, p_text: str | None = None) -> dict:
 
 
 def matrix_from_json(data: dict) -> OperatorMatrix:
-    source = space_from_json(data["source"])
-    target = space_from_json(data["target"])
-    entries = np.array(
-        [[complex(e["re"], e["im"]) for e in row] for row in data["entries"]],
-        dtype=complex,
-    ).reshape(len(target), len(source))
-    return OperatorMatrix(source, target, float(data["p"]), entries)
+    """Inverse of matrix_to_json; malformed input raises ValueError."""
+    try:
+        source = space_from_json(data["source"])
+        target = space_from_json(data["target"])
+        entries = np.array(
+            [[complex(e["re"], e["im"]) for e in row] for row in data["entries"]],
+            dtype=complex,
+        ).reshape(len(target), len(source))
+        p = float(data["p"])
+    except KeyError as exc:
+        raise ValueError(f"matrix JSON lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from None
+    return OperatorMatrix(source, target, p, entries)

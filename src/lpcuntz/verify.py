@@ -467,20 +467,28 @@ SUITES = {
     "relations": lambda args: verify_relations(
         d_values=(args.d,) if args.d else (2, 3),
         max_level=args.level if args.level else 4,
-        free_n=min(args.atoms or 8, 8),
+        free_n=8 if args.atoms is None else args.atoms,
     ),
     "lamperti": lambda args: verify_lamperti(
-        atoms=args.atoms or 8, cases=args.cases or 200, seed=args.seed
+        atoms=8 if args.atoms is None else args.atoms,
+        cases=200 if args.cases is None else args.cases,
+        seed=args.seed,
     ),
     "skew-table": lambda args: verify_skew_table(),
     "symbolic": lambda args: verify_symbolic(seed=args.seed),
     "spatial-identities": lambda args: verify_spatial_identities(seed=args.seed),
-    "calculus": lambda args: verify_calculus(cases=args.cases or 100, seed=args.seed),
+    "calculus": lambda args: verify_calculus(
+        cases=100 if args.cases is None else args.cases, seed=args.seed
+    ),
     "measure": lambda args: verify_measure(seed=args.seed),
 }
 
 
 def run_suite(name: str, args):
+    for flag in ("atoms", "cases"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
     if name == "all":
         checks = []
         for suite in SUITES.values():

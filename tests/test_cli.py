@@ -48,11 +48,37 @@ def test_usage_error_exit_code():
         ("report-spatiality", "--rep", "tensor:sequence:0"),
         ("eval", "--level", "-1", "1"),
         ("lamperti", "no-such-dir/missing.json"),
+        ("verify", "lamperti", "--cases", "0"),
+        ("verify", "lamperti", "--cases", "-3"),
+        ("verify", "calculus", "--cases", "0"),
+        ("verify", "relations", "--atoms", "0"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {},
+        [1, 2],
+        {
+            "source": {"atoms": ["x"], "weights": [1.0]},
+            "target": {"atoms": ["y"], "weights": [1.0]},
+            "p": "3",
+            "entries": [[{"re": 1.0}]],
+        },
+    ],
+    ids=["empty-object", "top-level-list", "entry-without-im"],
+)
+def test_malformed_matrix_json_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(content))
+    for extra in ((), ("--p", "3")):
+        code, out, err = run(capsys, "lamperti", str(path), *extra)
+        assert code == 2 and err.startswith("error:") and out == ""
 
 
 def test_mul(capsys):

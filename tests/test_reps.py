@@ -414,6 +414,19 @@ def test_t_images_reconstructed_from_s():
             assert lp.reconstruct_t_from_s(rep, 2) < 1e-12
 
 
+def test_t_images_reconstructed_from_s_on_derived_reps():
+    intv = lp.interval_rep(2, 3.0)
+    seq = lp.sequence_rep(2, 3.0)
+    derived = [
+        lp.direct_sum_p([seq, intv]),
+        lp.tensor_identity(seq, lp.FiniteMeasureSpace(["u", "v"], [1.0, 2.0])),
+        lp.free_rep(seq, 3),
+        lp.dual_rep(intv),
+    ]
+    for rep in derived:
+        assert lp.reconstruct_t_from_s(rep, 2) < 1e-12
+
+
 def test_reconstruction_rejects_nonspatial():
     seq = lp.sequence_rep(2, 3.0)
     tw = lp.fourier_twist(seq)
@@ -458,14 +471,72 @@ def test_reports_match_expected_classes():
     assert not mixed.violations
 
 
-def test_report_p2_uses_constructor_systems():
+def test_report_p2_uses_detector_and_reverse_law():
     seq = lp.sequence_rep(2, 2.0)
     rep = lp.spatiality_report(seq, depth=2, seed=0, samples=10)
     assert rep["spatial"].value is True
     assert "p = 2" in rep["spatial"].note
     tw = lp.spatiality_report(lp.fourier_twist(seq), depth=2, seed=0, samples=10)
-    assert tw["spatial"].value is None  # no systems to fall back on
+    assert tw["spatial"].value is None  # a rejection proves nothing at p = 2
     assert "not decidable" in tw["spatial"].note
+
+
+def test_spatial_needs_full_domain():
+    # s_1 loses its first column and t_1 the matching row: s_1 stays a
+    # spatial partial isometry whose reverse is t_1, but not an isometry
+    seq = lp.sequence_rep(2, 3.0)
+
+    def s_fn(j, level):
+        m = seq.s_matrix(j, level).tolil()
+        if j == 1:
+            m[:, 0] = 0
+        return m.tocsr()
+
+    def t_fn(j, level):
+        m = seq.t_matrix(j, level).tolil()
+        if j == 1:
+            m[0, :] = 0
+        return m.tocsr()
+
+    partial = lp.GradedRep(seq.kind, 3.0, seq.space, s_fn, t_fn, seq.inclusion, "partial")
+    cond = lp.spatiality_report(partial, depth=2, seed=0, samples=5)["spatial"]
+    assert cond.value is False
+    assert cond.witness == {"generator": "s_1", "reason": "not a spatial isometry"}
+    with pytest.raises(ValueError):
+        lp.reconstruct_t_from_s(partial, 2)
+
+
+def _p2_reps():
+    intv = lp.interval_rep(2, 2.0)
+    seq = lp.sequence_rep(2, 2.0)
+    return {
+        "interval": (intv, True),
+        "sequence-d3": (lp.sequence_rep(3, 2.0), True),
+        "dual": (lp.dual_rep(intv), True),
+        "tensor": (lp.tensor_identity(seq, lp.FiniteMeasureSpace(["u", "v"], [1.0, 2.0])), True),
+        "free": (lp.free_rep(seq, 3), True),
+        "sum": (lp.direct_sum_p([seq, intv]), True),
+        "fourier": (lp.fourier_twist(seq), None),
+        "sum-with-fourier": (lp.direct_sum_p([intv, lp.fourier_twist(seq)]), None),
+    }
+
+
+@pytest.mark.parametrize("name", list(_p2_reps()))
+def test_report_p2_spatial_condition(name):
+    rep, expected = _p2_reps()[name]
+    cond = lp.spatiality_report(rep, depth=2, seed=0, samples=5)["spatial"]
+    assert cond.value is expected
+    if expected:
+        assert cond.note == "p = 2: detector + reverse law"
+    else:
+        assert cond.note == "not decidable by detector at p = 2" and cond.witness == {}
+
+
+def test_report_p2_unimodular_twist_is_spatial():
+    tw = lp.twist_by_invertible(lp.sequence_rep(2, 2.0), 1j)
+    cond = lp.spatiality_report(tw, depth=2, seed=0, samples=5)["spatial"]
+    assert cond.value is True
+    assert lp.reconstruct_t_from_s(tw, 2) < 1e-12
 
 
 # -- the embedding pairing ---------------------------------------------------------------
