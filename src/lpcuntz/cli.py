@@ -151,7 +151,7 @@ def _norm_sequence(rep, element, args):
         args.nmax,
         restarts=args.restarts,
         seed=args.seed,
-        stall_eps=args.tol if args.tol else 1e-3,
+        stall_eps=1e-3 if args.tol is None else args.tol,
     )
 
 
@@ -256,7 +256,7 @@ def cmd_lamperti(args) -> int:
     if args.p is not None:
         data["p"] = args.p
     matrix = matrix_from_json(data)
-    result = detect(matrix, tol=args.tol if args.tol else 1e-9)
+    result = detect(matrix, tol=1e-9 if args.tol is None else args.tol)
     if isinstance(result, Rejection):
         payload = {"accepted": False, "reason": result.reason,
                    "witness": _jsonable(result.witness)}
@@ -276,8 +276,11 @@ def cmd_lamperti(args) -> int:
 
 
 def cmd_report_spatiality(args) -> int:
+    depth = 2 if args.level is None else args.level
+    if depth < 1:
+        raise ValueError(f"--level must be at least 1, got {depth}")
     rep = rep_from_descriptor(args.rep, args.d, float(args.p))
-    report = spatiality_report(rep, depth=args.level or 2, seed=args.seed)
+    report = spatiality_report(rep, depth=depth, seed=args.seed)
     payload = {
         "rep": args.rep,
         "p": args.p,
@@ -394,6 +397,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and args.tol < 0:
+            raise ValueError(f"--tol must be nonnegative, got {args.tol}")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -14,16 +14,25 @@ the reduction rule
 rewrites any element into that basis.  Coefficients are exact complex
 rationals, so equality of elements is decidable and exact.
 
+Products and normal forms run on a Gaussian-integer lattice: each
+operand is scaled once by the lcm D of its coefficient denominators, so
+every coefficient becomes a pair (re, im) of Python ints.  The product
+of two monomials and the reduction rule only multiply, add and negate
+such pairs, and the result is divided by D_a * D_b once at the end.
+The product is a prefix join: t_beta s_gamma vanishes unless one of
+beta, gamma is a prefix of the other, so the terms of the right factor
+are indexed by gamma and by every proper prefix of gamma, and each term
+of the left factor looks up only the terms that survive.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Word = tuple  # tuple of generator indices (ints >= 1); () is the empty word
 
 
 class QC:
@@ -184,8 +193,32 @@ def _reducible(key, d: int) -> bool:
     return bool(alpha) and bool(beta) and alpha[-1] == d and beta[-1] == d
 
 
+def _to_lattice(terms: dict) -> tuple:
+    """Scale a term dict onto the Gaussian integers: returns (den, pairs)
+    with den the lcm of every coefficient denominator and pairs mapping
+    each key to the integer pair (re, im) of den * coefficient."""
+    den = 1
+    for c in terms.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return den, {
+        key: (c.re.numerator * (den // c.re.denominator),
+              c.im.numerator * (den // c.im.denominator))
+        for key, c in terms.items()
+    }
+
+
+def _from_lattice(pairs: dict, den: int) -> dict:
+    """Inverse of _to_lattice, dropping the zero entries."""
+    return {
+        key: QC(Fraction(re, den), Fraction(im, den))
+        for key, (re, im) in pairs.items()
+        if re or im
+    }
+
+
 def _reduce_term_dict(terms: dict, d: int, pop_order=None) -> dict:
-    """Rewrite a raw term dict into the canonical L_d basis, in place.
+    """Rewrite a raw lattice term dict into the canonical L_d basis, in
+    place.  The rule only adds and negates, so integers stay integers.
 
     pop_order, when given, permutes the worklist before each pop; the
     result is the same for every order (the redex of a monomial is
@@ -197,22 +230,21 @@ def _reduce_term_dict(terms: dict, d: int, pop_order=None) -> dict:
             pop_order(work)
         key = work.pop()
         coeff = terms.pop(key, None)
-        if coeff is None or coeff.is_zero():
+        if coeff is None:
             continue
-        alpha, beta = key
-        head = (alpha[:-1], beta[:-1])
-        updates = [(head, coeff)]
-        updates.extend(
-            ((alpha[:-1] + (j,), beta[:-1] + (j,)), -coeff) for j in range(1, d)
-        )
-        for k2, delta in updates:
-            acc = terms.get(k2, QC_ZERO) + delta
-            if acc.is_zero():
-                terms.pop(k2, None)
-            else:
-                terms[k2] = acc
+        (alpha, beta), (re, im) = key, coeff
+        updates = [((alpha[:-1], beta[:-1]), re, im)]
+        updates += [((alpha[:-1] + (j,), beta[:-1] + (j,)), -re, -im) for j in range(1, d)]
+        for k2, dr, di in updates:
+            old = terms.get(k2)
+            if old is None:
+                terms[k2] = (dr, di)
                 if _reducible(k2, d):
                     work.append(k2)
+            elif old[0] + dr or old[1] + di:
+                terms[k2] = (old[0] + dr, old[1] + di)
+            else:
+                del terms[k2]
     return terms
 
 
@@ -360,54 +392,52 @@ def words(d: int, n: int):
 # -- operations --------------------------------------------------------
 
 
-def _mul_words(beta: Word, gamma: Word):
-    """Contract t_beta s_gamma by prefix matching.
-
-    Returns ("s", rest) when gamma = beta.rest, ("t", rest) when
-    beta = gamma.rest, and None when the product is zero.
-    """
-    if len(beta) <= len(gamma):
-        if gamma[: len(beta)] == beta:
-            return ("s", gamma[len(beta):])
-    else:
-        if beta[: len(gamma)] == gamma:
-            return ("t", beta[len(gamma):])
-    return None
-
-
 def _mul_term_dicts(a_terms: dict, b_terms: dict) -> dict:
+    """Contract (s_alpha t_beta)(s_gamma t_delta) over two lattice term
+    dicts by prefix matching: t_beta s_gamma is s_rest when gamma =
+    beta.rest, t_rest when beta = gamma.rest, and zero otherwise.  The
+    terms of b are indexed once by gamma and by every proper prefix of
+    gamma, so each term of a meets only the terms it does not kill."""
+    by_gamma: dict = {}  # gamma -> [(gamma, delta, coeff)]
+    by_prefix: dict = {}  # proper prefix of gamma -> [(gamma, delta, coeff)]
+    for (gamma, delta), cb in b_terms.items():
+        entry = (gamma, delta, cb)
+        by_gamma.setdefault(gamma, []).append(entry)
+        for k in range(len(gamma)):
+            by_prefix.setdefault(gamma[:k], []).append(entry)
     terms: dict = {}
-    for (alpha, beta), ca in a_terms.items():
-        for (gamma, delta), cb in b_terms.items():
-            hit = _mul_words(beta, gamma)
-            if hit is None:
-                continue
-            side, rest = hit
-            if side == "s":
-                key = (alpha + rest, delta)
-            else:
-                key = (alpha, delta + rest)
-            acc = terms.get(key, QC_ZERO) + ca * cb
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-    return terms
+    for (alpha, beta), (ar, ai) in a_terms.items():
+        n = len(beta)
+        hits = [((alpha + gamma[n:], delta), cb) for gamma, delta, cb in by_prefix.get(beta, ())]
+        for k in range(n + 1):
+            hits.extend(
+                ((alpha, delta + beta[k:]), cb) for _, delta, cb in by_gamma.get(beta[:k], ())
+            )
+        for key, (br, bi) in hits:
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            old = terms.get(key)
+            terms[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+    return {key: c for key, c in terms.items() if c[0] or c[1]}
+
+
+def _product(a: AlgebraElement, b: AlgebraElement, reduce: bool) -> AlgebraElement:
+    a._require_same_kind(b)
+    da, a_terms = _to_lattice(a.terms)
+    db, b_terms = _to_lattice(b.terms)
+    terms = _mul_term_dicts(a_terms, b_terms)
+    if reduce and a.kind.has_sum_relation:
+        _reduce_term_dict(terms, a.kind.d)
+    return AlgebraElement(a.kind, _from_lattice(terms, da * db), _trusted=True)
 
 
 def mul_raw(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product with monomial contraction only, no basis reduction."""
-    a._require_same_kind(b)
-    return AlgebraElement(a.kind, _mul_term_dicts(a.terms, b.terms), _trusted=True)
+    return _product(a, b, reduce=False)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Canonical product, via (s_a t_b)(s_g t_d) contraction."""
-    a._require_same_kind(b)
-    terms = _mul_term_dicts(a.terms, b.terms)
-    if a.kind.has_sum_relation:
-        _reduce_term_dict(terms, a.kind.d)
-    return AlgebraElement(a.kind, terms, _trusted=True)
+    return _product(a, b, reduce=True)
 
 
 def normal_form(a: AlgebraElement, _pop_order=None) -> AlgebraElement:
@@ -416,8 +446,9 @@ def normal_form(a: AlgebraElement, _pop_order=None) -> AlgebraElement:
         return a
     if not a.kind.has_sum_relation:
         return a
-    terms = _reduce_term_dict(dict(a.terms), a.kind.d, pop_order=_pop_order)
-    return AlgebraElement(a.kind, terms, _trusted=True)
+    den, terms = _to_lattice(a.terms)
+    _reduce_term_dict(terms, a.kind.d, pop_order=_pop_order)
+    return AlgebraElement(a.kind, _from_lattice(terms, den), _trusted=True)
 
 
 def star(a: AlgebraElement) -> AlgebraElement:

@@ -273,18 +273,3 @@ def space_to_json(space: FiniteMeasureSpace) -> dict:
 
 def space_from_json(data: dict) -> FiniteMeasureSpace:
     return FiniteMeasureSpace(list(data["atoms"]), list(data["weights"]))
-
-
-def transformation_to_json(S: SetTransformation) -> dict:
-    return {
-        "blocks": {
-            str(a): sorted(str(y) for y in S.blocks[a]) for a in S.source.atoms
-        }
-    }
-
-
-def transformation_from_json(
-    data: dict, source: FiniteMeasureSpace, target: FiniteMeasureSpace
-) -> SetTransformation:
-    blocks = {a: frozenset(b) for a, b in data["blocks"].items()}
-    return SetTransformation(source, target, blocks)

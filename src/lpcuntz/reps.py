@@ -406,15 +406,44 @@ def block_scalar_twist(rep_sum: GradedRep, scalars, components):
 # -- evaluation -----------------------------------------------------------
 
 
+# Groups of fewer terms are summed term by term: with two terms, one
+# stacked product measured ~1.4x slower than two single products
+# (evaluate of s1*t2 + s2*t1 + t1*t2 on interval levels 2..10, 2-core x86).
+_STACK_MIN = 3
+
+
+def _mm(a, b):
+    """a @ b, with None standing for an identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a @ b
+
+
+def _or_eye(mat, n: int):
+    return sparse.identity(n, dtype=complex, format="csr") if mat is None else mat
+
+
 def evaluate(rep: GradedRep, a: AlgebraElement, level: int, reduce: bool = True) -> OperatorMatrix:
     """Matrix of the represented element on V_level.
 
     The element is put in canonical form (unless ``reduce`` is False,
     which assembles the raw terms; the result agrees because the
-    representation satisfies the defining relations); each monomial
-    s_alpha t_beta walks down l(beta) levels and up l(alpha); terms of
-    lower degree are padded with inclusions so everything lands in
-    V_{level + k_max}.
+    representation satisfies the defining relations).  A monomial
+    s_alpha t_beta walks down l(beta) levels from V_level to the middle
+    level m = level - l(beta), up l(alpha), and is padded with inclusions
+    so that every term lands in V_top, top = level + k_max.
+
+    Factors are shared through two tries of cached products, one matmul
+    per trie node: T_beta on V_level along the t-words, and Incl * S_alpha
+    from V_m to V_top along the s-words, keyed by the level each s-prefix
+    starts from.  Terms are grouped by l(beta), which fixes m.  A group of
+    at least _STACK_MIN terms is assembled at once as
+    Scat @ (C kron I_m) @ Tcat, where Scat puts its distinct
+    Incl * S_alpha side by side, Tcat stacks its distinct T_beta, and C is
+    its coefficient matrix; a smaller group is a sum of single products.
+    None stands for an identity factor throughout.
     """
     if a.kind != rep.kind:
         raise ValueError(f"element kind {a.kind} does not match rep kind {rep.kind}")
@@ -426,24 +455,58 @@ def evaluate(rep: GradedRep, a: AlgebraElement, level: int, reduce: bool = True)
         raise ValueError(
             f"level {level} is too small for the element's t-depth {depth}"
         )
-    k_max = max((len(al) - len(be) for (al, be) in a.terms), default=0)
+    top = level + max((len(al) - len(be) for (al, be) in a.terms), default=0)
     n_in = len(rep.space(level))
-    n_out = len(rep.space(level + k_max))
-    total = sparse.csr_matrix((n_out, n_in), dtype=complex)
+    t_cache: dict = {(): None}
+    s_cache: dict = {}
+
+    def t_word(beta):
+        if beta not in t_cache:
+            t_cache[beta] = _mm(rep.t_matrix(beta[-1], level - len(beta) + 1), t_word(beta[:-1]))
+        return t_cache[beta]
+
+    def s_word(alpha, start):  # Incl * S_alpha from V_start to V_top
+        key = (alpha, start)
+        if key not in s_cache:
+            if alpha:
+                s_cache[key] = _mm(s_word(alpha[:-1], start + 1), rep.s_matrix(alpha[-1], start))
+            elif start < top:
+                s_cache[key] = _mm(s_word((), start + 1), rep.inclusion(start))
+            else:
+                s_cache[key] = None
+        return s_cache[key]
+
+    groups: dict = {}
     for (alpha, beta), coeff in a.terms.items():
-        mat = sparse.identity(n_in, dtype=complex, format="csr")
-        cur = level
-        for letter in beta:  # t_beta applies t_{beta(1)} first
-            mat = rep.t_matrix(letter, cur) @ mat
-            cur -= 1
-        for letter in reversed(alpha):  # s_alpha applies s_{alpha(m)} first
-            mat = rep.s_matrix(letter, cur) @ mat
-            cur += 1
-        while cur < level + k_max:
-            mat = rep.inclusion(cur) @ mat
-            cur += 1
-        total = total + coeff.to_complex() * mat
-    return OperatorMatrix(rep.space(level), rep.space(level + k_max), rep.p, total)
+        groups.setdefault(len(beta), {})[(alpha, beta)] = coeff.to_complex()
+    parts = []
+    for length, terms in groups.items():
+        mid = level - length
+        if len(terms) < _STACK_MIN:
+            parts.extend(
+                c * _or_eye(_mm(s_word(alpha, mid), t_word(beta)), n_in)
+                for (alpha, beta), c in terms.items()
+            )
+            continue
+        alphas = {al: i for i, al in enumerate(dict.fromkeys(al for al, _ in terms))}
+        betas = {be: i for i, be in enumerate(dict.fromkeys(be for _, be in terms))}
+        n_mid = len(rep.space(mid))
+        rows, cols = (
+            (np.array(index)[:, None] * n_mid + np.arange(n_mid)).ravel()
+            for index in zip(*((alphas[al], betas[be]) for al, be in terms))
+        )
+        c_kron = sparse.csr_matrix(
+            (np.repeat(list(terms.values()), n_mid), (rows, cols)),
+            shape=(len(alphas) * n_mid, len(betas) * n_mid),
+        )
+        scat = sparse.hstack([_or_eye(s_word(al, mid), n_mid) for al in alphas], format="csr")
+        tcat = sparse.vstack([_or_eye(t_word(be), n_in) for be in betas], format="csr")
+        parts.append(scat @ c_kron @ tcat)
+    if parts:
+        total = sum(parts[1:], parts[0])
+    else:
+        total = sparse.csr_matrix((len(rep.space(top)), n_in), dtype=complex)
+    return OperatorMatrix(rep.space(level), rep.space(top), rep.p, total)
 
 
 def check_relations(rep: GradedRep, max_level: int) -> float:

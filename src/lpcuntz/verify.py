@@ -465,8 +465,8 @@ def verify_measure(seed=0):
 
 SUITES = {
     "relations": lambda args: verify_relations(
-        d_values=(args.d,) if args.d else (2, 3),
-        max_level=args.level if args.level else 4,
+        d_values=(2, 3) if args.d is None else (args.d,),
+        max_level=4 if args.level is None else args.level,
         free_n=8 if args.atoms is None else args.atoms,
     ),
     "lamperti": lambda args: verify_lamperti(
@@ -485,7 +485,7 @@ SUITES = {
 
 
 def run_suite(name: str, args):
-    for flag in ("atoms", "cases"):
+    for flag in ("atoms", "cases", "level"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")

@@ -52,6 +52,11 @@ def test_usage_error_exit_code():
         ("verify", "lamperti", "--cases", "-3"),
         ("verify", "calculus", "--cases", "0"),
         ("verify", "relations", "--atoms", "0"),
+        ("verify", "relations", "--level", "0"),
+        ("verify", "relations", "--d", "0"),
+        ("report-spatiality", "--level", "0"),
+        ("norm", "--tol", "-1", "s1"),
+        ("compare-reps", "--rep", "sequence", "--tol", "-0.5", "s1"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):

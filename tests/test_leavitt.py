@@ -124,6 +124,89 @@ def test_mul_associative_and_distributive(a, b, c):
     assert lp.mul(a + b, c) == lp.mul(a, c) + lp.mul(b, c)
 
 
+def loop_product_terms(a, b, reduce):
+    """Reference: every term pair tested by prefix matching, exact QC
+    arithmetic throughout, then the worklist reduction on QC coefficients."""
+
+    def contract(beta, gamma):
+        if len(beta) <= len(gamma):
+            return ("s", gamma[len(beta):]) if gamma[: len(beta)] == beta else None
+        return ("t", beta[len(gamma):]) if beta[: len(gamma)] == gamma else None
+
+    def add(terms, key, delta):
+        acc = terms.get(key, QC(0)) + delta
+        if acc.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = acc
+
+    terms = {}
+    for (alpha, beta), ca in a.terms.items():
+        for (gamma, delta), cb in b.terms.items():
+            hit = contract(beta, gamma)
+            if hit is not None:
+                side, rest = hit
+                key = (alpha + rest, delta) if side == "s" else (alpha, delta + rest)
+                add(terms, key, ca * cb)
+    if not (reduce and a.kind.has_sum_relation):
+        return terms
+    d = a.kind.d
+    reducible = lambda k: bool(k[0]) and bool(k[1]) and k[0][-1] == d and k[1][-1] == d
+    work = [k for k in terms if reducible(k)]
+    while work:
+        key = work.pop()
+        coeff = terms.pop(key, None)
+        if coeff is None:
+            continue
+        alpha, beta = key
+        updates = [((alpha[:-1], beta[:-1]), coeff)]
+        updates += [((alpha[:-1] + (j,), beta[:-1] + (j,)), -coeff) for j in range(1, d)]
+        for k2, delta in updates:
+            add(terms, k2, delta)
+            if k2 in terms and reducible(k2):
+                work.append(k2)
+    return terms
+
+
+KINDS = (K2, K3, C2, lp.cohn(3), LINF)
+
+
+@st.composite
+def element_pairs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    d = kind.d or 3
+    part = st.builds(
+        Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=6)
+    )
+    # the letter d is drawn often, so that rewrites cascade (s_dd t_dd -> s_d t_d - ...)
+    letters = st.one_of(st.just(d), st.integers(min_value=1, max_value=d))
+    words_ = st.lists(letters, max_size=4).map(tuple)
+    pair = st.tuples(words_, words_)
+    terms = st.dictionaries(pair, st.builds(QC, part, part), max_size=5)
+    return kind, AlgebraElement(kind, draw(terms)), AlgebraElement(kind, draw(terms))
+
+
+@given(element_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_products_match_all_pairs_reference(pair, rnd):
+    kind, a, b = pair
+    expected = loop_product_terms(a, b, reduce=True)
+    assert lp.mul(a, b).terms == expected
+    raw = mul_raw(a, b)
+    assert raw.terms == loop_product_terms(a, b, reduce=False)
+    shuffled = lp.normal_form(raw, _pop_order=rnd.shuffle)
+    assert shuffled.terms == lp.normal_form(raw).terms == expected
+    # products that cancel to zero: (t1 + t2)(s1 - s2) = 0 in every kind,
+    # and a (sum_j s_j t_j - 1) = 0 after reduction
+    a_t = mul_raw(a, lp.linear_comb_t(kind, [1, 1]))
+    assert mul_raw(a_t, lp.linear_comb_s(kind, [1, -1])).is_zero()
+    assert loop_product_terms(a_t, lp.linear_comb_s(kind, [1, -1]), reduce=False) == {}
+    if kind.has_sum_relation:
+        rel = sum((lp.monomial(kind, (j,), (j,)) for j in range(2, kind.d + 1)),
+                  lp.monomial(kind, (1,), (1,))) - lp.unit(kind)
+        assert lp.mul(a, rel).is_zero() and lp.mul(rel, b).is_zero()
+
+
 # -- involutions ----------------------------------------------------------------
 
 

@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 import lpcuntz as lp
-from lpcuntz.measure import (
-    AtomFunction,
-    FiniteMeasureSpace,
-    SetTransformation,
-    space_from_json,
-    space_to_json,
-    transformation_from_json,
-    transformation_to_json,
-)
+from lpcuntz.measure import AtomFunction, FiniteMeasureSpace, SetTransformation
 from lpcuntz.sampling import random_semispatial_system
 
 
@@ -218,13 +210,3 @@ def test_surjectivity_criterion_exhaustive():
             mat[:, i] = lp.pushforward_function(S, AtomFunction(S.source, e)).values.real
         onto = np.linalg.matrix_rank(mat) == m
         assert onto == S.is_bijective()
-
-
-def test_space_json_round_trip():
-    sp = FiniteMeasureSpace(["a", "b"], [1.5, 2.5])
-    data = space_to_json(sp)
-    assert space_from_json(data) == sp
-    src, tgt, S = two_block_transform()
-    data = transformation_to_json(S)
-    back = transformation_from_json(data, src, tgt)
-    assert back == S

@@ -623,3 +623,52 @@ def test_column_tests_match_loop_reference():
         for held in (np.array(kernel), sparse.csr_matrix(kernel)):
             A = lp.OperatorMatrix(space, space, 3.0, held)
             assert _is_isometry_matrix(A, 1e-8) == loop_disjoint_columns(A)
+
+
+def loop_evaluate(rep, a, level, reduce=True):
+    """Reference: one chain of sparse matmuls per monomial, from the identity."""
+    if reduce:
+        a = lp.normal_form(a)
+    k_max = max((len(al) - len(be) for (al, be) in a.terms), default=0)
+    n_in = len(rep.space(level))
+    total = sparse.csr_matrix((len(rep.space(level + k_max)), n_in), dtype=complex)
+    for (alpha, beta), coeff in a.terms.items():
+        mat = sparse.identity(n_in, dtype=complex, format="csr")
+        cur = level
+        for letter in beta:
+            mat = rep.t_matrix(letter, cur) @ mat
+            cur -= 1
+        for letter in reversed(alpha):
+            mat = rep.s_matrix(letter, cur) @ mat
+            cur += 1
+        while cur < level + k_max:
+            mat = rep.inclusion(cur) @ mat
+            cur += 1
+        total = total + coeff.to_complex() * mat
+    return total.toarray()
+
+
+def test_evaluate_matches_loop_reference():
+    rng = np.random.default_rng(6)
+    reps = [
+        lp.interval_rep(2, 3.0),
+        lp.sequence_rep(2, 3.0),
+        lp.fourier_twist(lp.sequence_rep(2, 3.0)),
+        lp.dual_rep(lp.interval_rep(2, 3.0)),
+        lp.free_rep(lp.sequence_rep(2, 1.5), 3),
+        lp.direct_sum_p([lp.interval_rep(2, 3.0), lp.fourier_twist(lp.sequence_rep(2, 3.0))]),
+    ]
+    # many terms per l(beta) group, and the same element with a unit term
+    units = lp.matrix_unit_embed(K2, 2, rng.integers(-2, 3, size=(4, 4)).tolist())
+    for rep in reps:
+        elements = [lp.zero(K2), units, units + lp.unit(K2)]
+        elements += [random_exact_element(rng, K2, max_terms=8, max_len=3) for _ in range(6)]
+        for a in elements:
+            for reduce in (True, False):
+                depth = (lp.normal_form(a) if reduce else a).t_depth()
+                for level in (depth, depth + 1):
+                    M = lp.evaluate(rep, a, level, reduce=reduce)
+                    ref = loop_evaluate(rep, a, level, reduce=reduce)
+                    assert sparse.issparse(M.kernel) and M.kernel.shape == ref.shape
+                    scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+                    assert np.abs(M.kernel.toarray() - ref).max(initial=0.0) <= 1e-12 * scale

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 import lpcuntz as lp
-from lpcuntz.measure import rn_derivative
+from lpcuntz.measure import rn_derivative, space_from_json, space_to_json
 from lpcuntz.sampling import (
     random_composable_pair,
     random_semispatial_system,
@@ -408,3 +408,5 @@ def test_json_round_trips():
     B = matrix_from_json(mdata)
     assert matrix_to_json(B, p_text="1.5") == mdata
     assert np.abs(A.entries - B.entries).max() == 0.0
+    space = lp.FiniteMeasureSpace(["a", "b"], [1.5, 2.5])
+    assert space_from_json(space_to_json(space)) == space
