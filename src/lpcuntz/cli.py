@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -393,9 +394,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a negative number in exponent notation, which argparse takes for an
+# option flag (it only knows -1 and -0.5 as numbers)
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
+
+
+def _attach_negative_values(argv) -> list:
+    """Pass '--opt -1e-9' to argparse as '--opt=-1e-9'."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_EXPONENT.fullmatch(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.tol is not None and args.tol < 0:
             raise ValueError(f"--tol must be nonnegative, got {args.tol}")

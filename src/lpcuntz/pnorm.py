@@ -3,7 +3,12 @@
 Weights are absorbed by diagonal scaling, so everything reduces to
 plain l^p kernels, held as CSR above SPARSE_MIN_SIZE entries and dense
 below.  Exponent 1 is exact (max weighted column sum), exponent 2 is
-the largest singular value, and for p in (1, inf) the estimate is a
+the largest singular value.  For other p, a kernel that is an l^p
+direct sum of rank-one blocks is exact too: with at most one nonzero
+per row its norm is the largest column p-norm, and with at most one
+nonzero per column the largest row q-norm (Hoelder), which covers the
+spatial partial isometries and everything the spatiality report forms
+from them.  Otherwise the estimate is a
 Boyd-type fixed-point iteration with the dual-exponent phase map
 x -> |x|^(p-1) * phase(x), globally convergent from a positive start
 for entrywise-nonnegative kernels and run with multistart otherwise;
@@ -130,6 +135,39 @@ def _unweighted_kernel(A: OperatorMatrix):
     return B
 
 
+def _rank_one_sum_witness(B, p):
+    """Unweighted extremal vector of B when B is an l^p direct sum of
+    rank-one blocks, else None.
+
+    At most one nonzero per row: the columns have disjoint supports, so
+    ||B x||^p = sum_x |x_x|^p ||B e_x||^p and the best basis vector is
+    extremal.  At most one nonzero per column: the rows read disjoint
+    coordinates, so ||B|| is the largest row q-norm, attained by the
+    Hoelder extremizer conj(phase(b_i)) |b_i|^(q-1) of that row.
+    """
+    m, n = B.shape
+    if sparse.issparse(B):
+        rows = np.repeat(np.arange(m), np.diff(B.indptr))
+        cols, values = B.indices, B.data
+        nz = values != 0
+        rows, cols, values = rows[nz], cols[nz], values[nz]
+    else:
+        rows, cols = np.nonzero(B)
+        values = B[rows, cols]
+    x = np.zeros(n, dtype=complex)
+    if np.bincount(rows, minlength=m).max() <= 1:
+        sums = np.bincount(cols, weights=np.abs(values) ** p, minlength=n)
+        x[int(np.argmax(sums))] = 1.0
+        return x
+    if np.bincount(cols, minlength=n).max() <= 1:
+        q = conjugate_exponent(p)
+        sums = np.bincount(rows, weights=np.abs(values) ** q, minlength=m)
+        row = rows == int(np.argmax(sums))
+        x[cols[row]] = _phase_power(values[row].conj(), q - 1.0)
+        return x
+    return None
+
+
 def _finish(A: OperatorMatrix, x_unweighted, method, iterations, converged):
     """Translate an unweighted witness back and certify the bound."""
     mu = A.source.weights
@@ -167,6 +205,10 @@ def power_estimate(
     if p == 2.0:
         _, svals, vh = np.linalg.svd(B.toarray() if sparse.issparse(B) else B)
         return _finish(A, vh[0].conj(), "svd", 0, True)
+
+    x = _rank_one_sum_witness(B, p)
+    if x is not None:
+        return _finish(A, x, "exact-rank-one-sum", 0, True)
 
     nonnegative = bool(not np.any(values.imag)) and bool(np.all(values.real >= 0))
     starts = [np.ones(n, dtype=complex)]

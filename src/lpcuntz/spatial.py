@@ -155,17 +155,18 @@ class SpatialSystem:
     __slots__ = ("domain", "codomain", "E", "F", "transform", "g")
 
     def __init__(self, domain, codomain, E, F, transform: SetTransformation, g):
-        E = tuple(a for a in domain.atoms if a in set(E))
-        F = tuple(y for y in codomain.atoms if y in set(F))
+        E_set = set(E)
+        F_set = set(F).intersection(codomain.atoms)
+        E = tuple(a for a in domain.atoms if a in E_set)
+        F = tuple(y for y in codomain.atoms if y in F_set)
         if transform.source != domain.subspace(E):
             raise ValueError("transform source must be the domain restricted to E")
         if transform.target != codomain.subspace(F):
             raise ValueError("transform target must be the codomain restricted to F")
-        covered = transform.range_atoms()
-        if covered != set(F):
+        if transform.range_atoms() != F_set:
             raise ValueError("blocks must cover F exactly")
         g = dict(g)
-        if set(g) != set(F):
+        if set(g) != F_set:
             raise ValueError("phase must be defined on exactly the atoms of F")
         for y, value in g.items():
             value = complex(value)
@@ -232,14 +233,18 @@ def materialize(sys: SpatialSystem, p) -> OperatorMatrix:
     if not (1 <= p < np.inf):
         raise ValueError("exponent p must lie in [1, inf)")
     h = rn_derivative(sys.transform)
-    entries = np.zeros((len(sys.codomain), len(sys.domain)), dtype=complex)
+    rows, cols, values = [], [], []
     for x in sys.E:
         col = sys.domain.index(x)
         for y in sys.block(x):
-            row = sys.codomain.index(y)
-            hval = h(y).real
-            entries[row, col] = sys.g[y] * hval ** (1.0 / p)
-    return OperatorMatrix(sys.domain, sys.codomain, p, entries)
+            rows.append(sys.codomain.index(y))
+            cols.append(col)
+            values.append(sys.g[y] * h(y).real ** (1.0 / p))
+    kernel = sparse.csr_array(
+        (np.array(values, dtype=complex), (rows, cols)),
+        shape=(len(sys.codomain), len(sys.domain)),
+    )
+    return OperatorMatrix(sys.domain, sys.codomain, p, kernel)
 
 
 def reverse(sys: SpatialSystem) -> SpatialSystem:
@@ -360,66 +365,74 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
     (mu(x)/nu(B_x))^(1/p); then A = materialize(system) up to tol.
     Works combinatorially at every p; at p = 2 acceptance still
     certifies the form, but rejection does not rule out an isometry.
+    Reads the kernel's column supports through CSC; every test scans
+    the support entries column by column, rows ascending, and reports
+    the first failure in that order.
     """
     p = A.p
     mu = A.source.weights
     nu = A.target.weights
-    abs_entries = np.abs(A.entries)
-    scale = max(1.0, float(abs_entries.max(initial=0.0)))
-    support_cut = tol * scale
+    atoms_in, atoms_out = A.source.atoms, A.target.atoms
+    K = sparse.csc_array(A.kernel)
+    K.sort_indices()
+    mags = np.abs(K.data)
+    scale = max(1.0, float(mags.max(initial=0.0)))
+    support = mags > tol * scale
+    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))[support]
+    rows = K.indices[support]
+    values = K.data[support]
 
-    columns = {}
-    owner = {}
-    for col, x in enumerate(A.source.atoms):
-        rows = np.nonzero(abs_entries[:, col] > support_cut)[0]
-        if rows.size == 0:
-            continue
-        for r in rows:
-            y = A.target.atoms[r]
-            if y in owner:
-                return Rejection(
-                    "overlapping column supports",
-                    {"columns": [str(owner[y]), str(x)], "row": str(y)},
-                )
-            owner[y] = x
-        columns[x] = rows
+    # overlap: the first support entry whose row an earlier column holds
+    held_rows, first = np.unique(rows, return_index=True)
+    repeat = np.ones(rows.size, dtype=bool)
+    repeat[first] = False
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        owner = cols[first[np.searchsorted(held_rows, rows[k])]]
+        return Rejection(
+            "overlapping column supports",
+            {"columns": [str(atoms_in[owner]), str(atoms_in[cols[k]])],
+             "row": str(atoms_out[rows[k]])},
+        )
 
-    E = tuple(x for x in A.source.atoms if x in columns)
-    blocks = {}
-    g = {}
-    h = {}
-    for x in E:
-        rows = columns[x]
-        col = A.source.index(x)
-        block_nu = float(nu[rows].sum())
-        hval = float(mu[A.source.index(x)]) / block_nu
-        expected = hval ** (1.0 / p)
-        for r in rows:
-            y = A.target.atoms[r]
-            value = A.entries[r, col]
-            if abs(abs(value) - expected) > tol * max(1.0, expected):
-                return Rejection(
-                    "block-constancy failure",
-                    {
-                        "column": str(x),
-                        "row": str(y),
-                        "modulus": float(abs(value)),
-                        "expected": expected,
-                    },
-                )
-            mod = abs(value)
-            # componentwise division keeps real phases exact
-            g[y] = complex(value.real / mod, value.imag / mod)
-            h[y] = hval
-        blocks[x] = frozenset(A.target.atoms[r] for r in rows)
+    # block constancy against (mu(x)/nu(B_x))^(1/p), summed and raised
+    # as ndarray.sum and float ** do (bincount adds in order, which is
+    # what ndarray.sum does below 8 terms; it goes pairwise from 8)
+    E_cols, starts, counts = np.unique(cols, return_index=True, return_counts=True)
+    block_of = np.repeat(np.arange(E_cols.size), counts)
+    block_nu = np.bincount(block_of, weights=nu[rows], minlength=E_cols.size)
+    for b in np.flatnonzero(counts >= 8):
+        block_nu[b] = nu[rows[starts[b]:starts[b] + counts[b]]].sum()
+    hvals = (mu[E_cols] / block_nu).tolist()
+    expected = np.array([hval ** (1.0 / p) for hval in hvals])[block_of]
+    moduli = np.hypot(values.real, values.imag)  # == abs() of each entry
+    bad = np.abs(moduli - expected) > tol * np.maximum(1.0, expected)
+    if bad.any():
+        k = int(np.argmax(bad))
+        return Rejection(
+            "block-constancy failure",
+            {
+                "column": str(atoms_in[cols[k]]),
+                "row": str(atoms_out[rows[k]]),
+                "modulus": float(moduli[k]),
+                "expected": float(expected[k]),
+            },
+        )
 
-    F = tuple(y for y in A.target.atoms if y in owner)
+    ys = [atoms_out[r] for r in rows.tolist()]
+    # componentwise division keeps real phases exact
+    re_g, im_g = (values.real / moduli).tolist(), (values.imag / moduli).tolist()
+    g = {y: complex(a, b) for y, a, b in zip(ys, re_g, im_g)}
+    h = {y: hvals[b] for y, b in zip(ys, block_of.tolist())}
+    E = tuple(atoms_in[c] for c in E_cols.tolist())
+    bounds = np.append(starts, rows.size).tolist()
+    blocks = {x: frozenset(ys[bounds[b]:bounds[b + 1]]) for b, x in enumerate(E)}
+    F = tuple(atoms_out[r] for r in np.sort(rows).tolist())
     transform = SetTransformation(
         A.source.subspace(E), A.target.subspace(F), blocks
     )
     system = SpatialSystem(A.source, A.target, E, F, transform, g)
-    recon = materialize(system, p)
-    err = float(np.max(np.abs(recon.entries - A.entries), initial=0.0))
+    err = max_abs_difference(materialize(system, p).kernel, A.kernel)
     if err > tol * scale:
         return Rejection(
             "reconstruction mismatch", {"max_abs_error": err}
@@ -429,19 +442,28 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
     )
 
 
+def max_abs_difference(X, Y) -> float:
+    """Largest entry modulus of X - Y for dense or sparse kernels of one
+    shape, through a sparse difference (no dense view of a sparse one)."""
+    diff = sparse.csr_array(X) - sparse.csr_array(Y)
+    return float(np.abs(diff.data).max(initial=0.0))
+
+
 def classify_idempotent(A: OperatorMatrix, tol: float = MATRIX_TOL):
     """Support of an idempotent spatial partial isometry: accepts iff A
-    is diagonal with entries 0 or 1, returning the support atoms."""
+    is diagonal with entries 0 or 1, returning the support atoms.
+    Reads the CSR diagonal and the stored entries; a rejection names
+    the first fault in row-major order."""
     if A.source != A.target:
         raise ValueError("idempotents act on a single space")
-    B = A.entries
-    diagonal = np.eye(len(A.source), dtype=bool)
-    unit = np.abs(B - 1.0) <= tol
-    bad = (np.abs(B) > tol) & ~(diagonal & unit)
+    B = sparse.csr_array(A.kernel)
+    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    cols, values = B.indices, B.data
+    unit = np.abs(values - 1.0) <= tol
+    bad = (np.abs(values) > tol) & ~((rows == cols) & unit)
     if bad.any():
-        # the first fault in row-major order
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        value = B[i, j]
+        k = int(np.argmax(bad))
+        i, j, value = rows[k], cols[k], values[k]
         if i != j:
             return Rejection(
                 "off-diagonal entry",
@@ -452,7 +474,8 @@ def classify_idempotent(A: OperatorMatrix, tol: float = MATRIX_TOL):
             "diagonal entry not 0 or 1",
             {"row": str(A.target.atoms[i]), "value": [value.real, value.imag]},
         )
-    return tuple(A.source.atoms[i] for i in np.flatnonzero(np.diagonal(unit)))
+    diagonal = np.abs(B.diagonal() - 1.0) <= tol
+    return tuple(A.source.atoms[i] for i in np.flatnonzero(diagonal))
 
 
 # -- JSON ------------------------------------------------------------------

@@ -57,6 +57,7 @@ def test_usage_error_exit_code():
         ("report-spatiality", "--level", "0"),
         ("norm", "--tol", "-1", "s1"),
         ("compare-reps", "--rep", "sequence", "--tol", "-0.5", "s1"),
+        ("norm", "--tol", "-1e-9", "s1"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):

@@ -3,6 +3,7 @@ sampling oracle, and their agreement."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
 import lpcuntz as lp
@@ -360,3 +361,76 @@ def test_block_multistart_matches_single_starts():
         assert res.iterations == sum(single_start_boyd(B, p, x, 1e-12, 600)[2] for x in starts)
     # zero image, converged and max_iter starts all occurred
     assert stops == {(True, True), (False, True), (False, False)}
+
+
+@st.composite
+def rank_one_sums(draw):
+    """Weighted m x n kernel with at most one nonzero per row (by_rows)
+    or per column, random phases, empty lines allowed, dense or CSR."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    by_rows = draw(st.booleans())
+    lines, width = (m, n) if by_rows else (n, m)
+    slots = draw(st.lists(st.none() | st.integers(0, width - 1), min_size=lines, max_size=lines))
+    assume(any(k is not None for k in slots))
+    mags = draw(st.lists(st.floats(0.1, 4.0), min_size=lines, max_size=lines))
+    angles = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=lines, max_size=lines))
+    K = np.zeros((lines, width), dtype=complex)
+    for i, k in enumerate(slots):
+        if k is not None:
+            K[i, k] = mags[i] * np.exp(1j * angles[i])
+    K = K if by_rows else K.T
+    weights = st.floats(0.25, 4.0)
+    source = lp.FiniteMeasureSpace(range(n), draw(st.lists(weights, min_size=n, max_size=n)))
+    target = lp.FiniteMeasureSpace(range(m), draw(st.lists(weights, min_size=m, max_size=m)))
+    held = sparse.csr_matrix(K) if draw(st.booleans()) else K
+    return source, target, held
+
+
+def test_rank_one_sums_pick_the_largest_block():
+    # the two-entry block wins in the p-norm of columns and the q-norm
+    # of rows at p = 1.5 (2^(2/3)), the one-entry block at p = 3 (1.3)
+    cols = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.3]])
+    for p, col_norm, row_norm in ((1.5, 2 ** (2 / 3), 1.3), (3.0, 1.3, 2 ** (2 / 3))):
+        for K, expected in ((cols, col_norm), (cols.T, row_norm)):
+            res = lp.power_estimate(op(K, p))
+            assert res.method == "exact-rank-one-sum"
+            assert res.estimate == pytest.approx(expected, rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_one_sums(), st.sampled_from([1.5, 3.0, 4.0]), st.integers(0, 2**16))
+def test_rank_one_sums_are_exact(kernel, p, seed):
+    from lpcuntz.pnorm import _boyd_block
+    from lpcuntz.spatial import weighted_to_unweighted
+
+    source, target, held = kernel
+    A = lp.OperatorMatrix(source, target, p, held)
+    res = lp.power_estimate(A, restarts=8, seed=seed)
+    assert res.method == "exact-rank-one-sum"
+    assert (res.iterations, res.converged) == (0, True)
+    ratio = lp.vector_norm(target, A.apply(res.witness), p) / lp.vector_norm(source, res.witness, p)
+    assert ratio == pytest.approx(res.estimate, rel=1e-12, abs=0)
+    oracle = lp.oracle_grid(A, samples=512, seed=seed)
+    assert res.estimate == pytest.approx(oracle.estimate, rel=0, abs=1e-8)
+    B = weighted_to_unweighted(A)
+    m, n = B.shape
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(
+        [np.ones((n, 1)), np.eye(n), rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))],
+        axis=1,
+    )
+    gammas = _boyd_block(B, p, starts, 1e-12, 600)[0]
+    assert res.estimate >= gammas.max() - 1e-12
+    # a new row and a new column, each holding two entries: no longer
+    # a rank-one sum, so Boyd runs
+    K = np.zeros((m + 1, n + 1), dtype=complex)
+    K[:-1, :-1] = A.entries
+    K[-1, -2:] = [1.0, 0.5j]
+    K[0, -1] = 0.75
+    wider = lp.OperatorMatrix(
+        lp.FiniteMeasureSpace(range(n + 1), [*source.weights, 1.0]),
+        lp.FiniteMeasureSpace(range(m + 1), [*target.weights, 1.0]),
+        p,
+        sparse.csr_matrix(K) if sparse.issparse(held) else K,
+    )
+    assert lp.power_estimate(wider, restarts=8, seed=seed).method.startswith("boyd-")

@@ -506,6 +506,38 @@ def test_spatial_needs_full_domain():
         lp.reconstruct_t_from_s(partial, 2)
 
 
+def test_contractivity_witness_names_first_generator_on_ties():
+    # every generator norm is 1 up to rounding: s_1 is named
+    intv = lp.interval_rep(2, 3.0)
+    for rep in (
+        intv,
+        lp.sequence_rep(3, 1.5),
+        lp.fourier_twist(intv),
+        lp.dual_rep(intv),
+        lp.free_rep(lp.sequence_rep(2, 3.0), 3),
+    ):
+        for depth in (2, 4):
+            cond = lp.spatiality_report(rep, depth=depth, seed=1, samples=4)[
+                "contractive_on_generators"
+            ]
+            assert cond.value is True
+            assert cond.witness["generator"] == "s_1"
+            assert cond.witness["norm"] == pytest.approx(1.0, abs=1e-12)
+    # a strictly largest norm is named whatever its place: s_2 = 2 x
+    # the sequence s_2 and t_2 = its half keep every relation
+    seq = lp.sequence_rep(2, 3.0)
+    scale = {1: 1.0, 2: 2.0}
+    scaled = lp.GradedRep(
+        seq.kind, 3.0, seq.space,
+        lambda j, level: scale[j] * seq.s_matrix(j, level),
+        lambda j, level: seq.t_matrix(j, level) / scale[j],
+        seq.inclusion, "scaled",
+    )
+    cond = lp.spatiality_report(scaled, depth=2, seed=1, samples=4)["contractive_on_generators"]
+    assert cond.value is False
+    assert cond.witness == {"generator": "s_2", "norm": pytest.approx(2.0, rel=1e-14)}
+
+
 def _p2_reps():
     intv = lp.interval_rep(2, 2.0)
     seq = lp.sequence_rep(2, 2.0)
@@ -623,6 +655,14 @@ def test_column_tests_match_loop_reference():
         for held in (np.array(kernel), sparse.csr_matrix(kernel)):
             A = lp.OperatorMatrix(space, space, 3.0, held)
             assert _is_isometry_matrix(A, 1e-8) == loop_disjoint_columns(A)
+    # p = 2: the weighted Gram identity, which a rotation satisfies
+    c = 2.0 ** -0.5
+    for kernel, expected in (([[c, -c], [c, c]], True), ([[1.0, 1.0], [0.0, 0.0]], False)):
+        for held in (np.array(kernel), sparse.csr_matrix(kernel)):
+            assert _is_isometry_matrix(lp.OperatorMatrix(space, space, 2.0, held), 1e-8) == expected
+    s1 = lp.interval_rep(2, 2.0).generator_operator("s", 1, 3)
+    assert _is_isometry_matrix(s1, 1e-8)
+    assert not _is_isometry_matrix(lp.OperatorMatrix(s1.source, s1.target, 2.0, 1.5 * s1.kernel), 1e-8)
 
 
 def loop_evaluate(rep, a, level, reduce=True):

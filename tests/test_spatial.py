@@ -327,6 +327,127 @@ def test_classify_idempotent_matches_loop_reference(held):
             assert isinstance(got, Rejection) and got.reason == reason
 
 
+def loop_materialize(sys, p):
+    """Reference: the dense matrix of the system, entry by entry."""
+    h = rn_derivative(sys.transform)
+    entries = np.zeros((len(sys.codomain), len(sys.domain)), dtype=complex)
+    for x in sys.E:
+        col = sys.domain.index(x)
+        for y in sys.block(x):
+            entries[sys.codomain.index(y), col] = sys.g[y] * h(y).real ** (1.0 / p)
+    return entries
+
+
+def loop_detect(A, tol=1e-9):
+    """Reference: the detector as a loop over dense columns."""
+    p, mu, nu = A.p, A.source.weights, A.target.weights
+    abs_entries = np.abs(A.entries)
+    scale = max(1.0, float(abs_entries.max(initial=0.0)))
+    columns, owner = {}, {}
+    for col, x in enumerate(A.source.atoms):
+        rows = np.nonzero(abs_entries[:, col] > tol * scale)[0]
+        if rows.size == 0:
+            continue
+        for r in rows:
+            y = A.target.atoms[r]
+            if y in owner:
+                return Rejection(
+                    "overlapping column supports",
+                    {"columns": [str(owner[y]), str(x)], "row": str(y)},
+                )
+            owner[y] = x
+        columns[x] = rows
+    E = tuple(x for x in A.source.atoms if x in columns)
+    blocks, g, h = {}, {}, {}
+    for x in E:
+        rows, col = columns[x], A.source.index(x)
+        hval = float(mu[col]) / float(nu[rows].sum())
+        expected = hval ** (1.0 / p)
+        for r in rows:
+            y, value = A.target.atoms[r], A.entries[r, col]
+            if abs(abs(value) - expected) > tol * max(1.0, expected):
+                return Rejection(
+                    "block-constancy failure",
+                    {"column": str(x), "row": str(y), "modulus": float(abs(value)),
+                     "expected": expected},
+                )
+            mod = abs(value)
+            g[y] = complex(value.real / mod, value.imag / mod)
+            h[y] = hval
+        blocks[x] = frozenset(A.target.atoms[r] for r in rows)
+    F = tuple(y for y in A.target.atoms if y in owner)
+    transform = lp.SetTransformation(A.source.subspace(E), A.target.subspace(F), blocks)
+    system = lp.SpatialSystem(A.source, A.target, E, F, transform, g)
+    err = float(np.max(np.abs(loop_materialize(system, p) - A.entries), initial=0.0))
+    if err > tol * scale:
+        return Rejection("reconstruction mismatch", {"max_abs_error": err})
+    return system, h
+
+
+def big_block_system():
+    """Semispatial system with blocks of 12 and 9 atoms of uneven
+    weights, where ndarray.sum adds pairwise."""
+    rng = np.random.default_rng(4)
+    dom = lp.FiniteMeasureSpace(["x0", "x1", "x2"], [0.7, 1.3, 2.1])
+    cod = lp.FiniteMeasureSpace([f"y{i}" for i in range(23)], rng.uniform(0.1, 3.0, 23))
+    F = cod.atoms[:21]
+    blocks = {"x0": set(F[:12]), "x2": set(F[12:])}
+    S = lp.SetTransformation(dom.subspace(["x0", "x2"]), cod.subspace(F), blocks)
+    phases = {y: np.exp(1j * t) for y, t in zip(F, rng.uniform(0, 2 * np.pi, 21))}
+    return lp.SpatialSystem(dom, cod, ["x0", "x2"], F, S, phases)
+
+
+def perturbations(K, rng):
+    """K itself, then K with an overlap, a wrong modulus, a new phase and
+    an entry below the support cut, each at a random support entry."""
+    rows, cols = np.nonzero(K)
+    k = int(rng.integers(rows.size))
+    out = [K]
+    others = np.flatnonzero(cols != cols[k])
+    if others.size:
+        overlap = K.copy()
+        overlap[rows[k], cols[others[rng.integers(others.size)]]] = 0.5 - 0.25j
+        out.append(overlap)
+    for factor in (1.0 + 1e-6, np.exp(0.3j)):
+        changed = K.copy()
+        changed[rows[k], cols[k]] *= factor
+        out.append(changed)
+    faint = K.copy()
+    faint[np.nonzero(K[:, cols[k]] == 0)[0][:1], cols[k]] = 1e-12
+    out.append(faint)
+    return out
+
+
+def test_detect_and_materialize_match_loop_reference():
+    rng = np.random.default_rng(17)
+    systems = [big_block_system()]
+    for i in range(40):
+        if i % 2:
+            systems.append(random_spatial_system(rng, max_atoms=10))
+        else:
+            systems.append(random_semispatial_system(rng, max_atoms=20))
+    outcomes = set()
+    for i, sys in enumerate(systems):
+        p = (1.0, 1.5, 2.0, 3.0)[i % 4]
+        A = lp.materialize(sys, p)
+        assert sparse.issparse(A.kernel)
+        reference = loop_materialize(sys, p)
+        assert np.array_equal(A.entries, reference)
+        for K in perturbations(reference, rng):
+            for held in (K, sparse.csr_matrix(K)):
+                B = lp.OperatorMatrix(sys.domain, sys.codomain, p, held)
+                got, want = lp.detect(B), loop_detect(B)
+                if isinstance(want, Rejection):
+                    assert isinstance(got, Rejection)
+                    assert (got.reason, got.witness) == (want.reason, want.witness)
+                    outcomes.add(want.reason)
+                else:
+                    assert got.accepted and (got.system, got.h) == want
+                    assert got.spatial == want[0].spatial
+                    outcomes.add("accepted")
+    assert outcomes == {"accepted", "overlapping column supports", "block-constancy failure"}
+
+
 def test_homotopy_rigidity_witness():
     # two bijective spatial isometries with distinct transformations are
     # at distance >= 2^(1/p), certified by a normalized indicator
