@@ -184,14 +184,10 @@ def parse_element(text: str, kind: AlgebraKind) -> AlgebraElement:
 # -- formatting ----------------------------------------------------------
 
 
-def _format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def format_scalar(c: QC) -> str:
     if c.im == 0:
-        return _format_fraction(c.re)
-    return f"({_format_fraction(c.re)}{'+' if c.im >= 0 else '-'}{_format_fraction(abs(c.im))}i)"
+        return str(c.re)
+    return f"({c.re}{'+' if c.im >= 0 else '-'}{abs(c.im)}i)"
 
 
 def _format_word(letters, prefix: str, d) -> str:

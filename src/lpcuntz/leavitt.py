@@ -579,8 +579,8 @@ def matrix_unit_embed(kind: AlgebraKind, m: int, table) -> AlgebraElement:
     return normal_form(AlgebraElement(kind, terms, _trusted=True))
 
 
-def linear_comb_s(kind: AlgebraKind, lam) -> AlgebraElement:
-    """s_lambda = sum_j lambda_j s_j (lambda finitely supported)."""
+def _linear_comb(kind: AlgebraKind, lam, key) -> AlgebraElement:
+    """sum_j lambda_j g_j, with key(j) the (alpha, beta) term of g_j."""
     lam = list(lam)
     if kind.d is not None and len(lam) > kind.d:
         raise ValueError(f"coefficient vector longer than d = {kind.d}")
@@ -588,18 +588,15 @@ def linear_comb_s(kind: AlgebraKind, lam) -> AlgebraElement:
     for j, value in enumerate(lam, start=1):
         coeff = QC.of(value)
         if not coeff.is_zero():
-            terms[((j,), ())] = coeff
+            terms[key(j)] = coeff
     return AlgebraElement(kind, terms, _trusted=True)
+
+
+def linear_comb_s(kind: AlgebraKind, lam) -> AlgebraElement:
+    """s_lambda = sum_j lambda_j s_j (lambda finitely supported)."""
+    return _linear_comb(kind, lam, lambda j: ((j,), ()))
 
 
 def linear_comb_t(kind: AlgebraKind, lam) -> AlgebraElement:
     """t_lambda = sum_j lambda_j t_j."""
-    lam = list(lam)
-    if kind.d is not None and len(lam) > kind.d:
-        raise ValueError(f"coefficient vector longer than d = {kind.d}")
-    terms = {}
-    for j, value in enumerate(lam, start=1):
-        coeff = QC.of(value)
-        if not coeff.is_zero():
-            terms[((), (j,))] = coeff
-    return AlgebraElement(kind, terms, _trusted=True)
+    return _linear_comb(kind, lam, lambda j: ((), (j,)))

@@ -1,21 +1,23 @@
 """Operator p -> p norm estimation between weighted sequence spaces.
 
-Weights are absorbed by diagonal scaling, so everything reduces to
-plain l^p kernels, held as CSR above SPARSE_MIN_SIZE entries and dense
-below.  Exponent 1 is exact (max weighted column sum), exponent 2 is
-the largest singular value.  For other p, a kernel that is an l^p
-direct sum of rank-one blocks is exact too: with at most one nonzero
-per row its norm is the largest column p-norm, and with at most one
-nonzero per column the largest row q-norm (Hoelder), which covers the
-spatial partial isometries and everything the spatiality report forms
-from them.  Otherwise the estimate is a
+Weights are absorbed by diagonal scaling into the CSR kernel, so
+everything reduces to plain l^p kernels.  The tests run in this order.
+A kernel without nonzeros has norm 0.  Exponent 1 is exact (max
+weighted column sum).  A kernel that is an l^p direct sum of rank-one
+blocks is exact at every other p: with at most one nonzero per row its
+norm is the largest column p-norm, and with at most one nonzero per
+column the largest row q-norm (Hoelder), which covers the spatial
+partial isometries and everything the spatiality report forms from
+them.  Exponent 2 is otherwise the largest singular value of the dense
+kernel.  Otherwise the estimate is a
 Boyd-type fixed-point iteration with the dual-exponent phase map
 x -> |x|^(p-1) * phase(x), globally convergent from a positive start
 for entrywise-nonnegative kernels and run with multistart otherwise;
-all starts iterate together as the columns of one block.  A sampling
-oracle with compass-search ascent, which never uses the Boyd map,
-covers small source dimensions.  Every returned value is a certified
-lower bound: the witness reproduces it.
+all starts iterate together as the columns of one block, on the CSR
+kernel above SPARSE_MIN_SIZE entries and on a dense copy below.  A
+sampling oracle with compass-search ascent, which never uses the Boyd
+map, covers small source dimensions.  Every returned value is a
+certified lower bound: the witness reproduces it.
 """
 
 from __future__ import annotations
@@ -122,22 +124,18 @@ def _boyd_block(B, p, X0, tol, max_iter):
 
 
 def _unweighted_kernel(A: OperatorMatrix):
-    """Kernel with the weights absorbed, as CSR when it has more than
-    SPARSE_MIN_SIZE entries (sparse matvecs win there) and dense below."""
-    m, n = A.shape
-    if m * n <= SPARSE_MIN_SIZE:
-        return weighted_to_unweighted(A)
+    """CSR kernel with the weights absorbed, D_nu^(1/p) A D_mu^(-1/p)."""
     left = A.target.weights ** (1.0 / A.p)
     right = A.source.weights ** (-1.0 / A.p)
-    B = sparse.csr_array(A.kernel, dtype=complex, copy=True)
-    rows = np.repeat(np.arange(m), np.diff(B.indptr))
+    B = A.kernel.copy()
+    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
     B.data = (left[rows] * B.data) * right[B.indices]
     return B
 
 
 def _rank_one_sum_witness(B, p):
-    """Unweighted extremal vector of B when B is an l^p direct sum of
-    rank-one blocks, else None.
+    """Unweighted extremal vector of the CSR kernel B when B is an l^p
+    direct sum of rank-one blocks, else None.
 
     At most one nonzero per row: the columns have disjoint supports, so
     ||B x||^p = sum_x |x_x|^p ||B e_x||^p and the best basis vector is
@@ -146,14 +144,9 @@ def _rank_one_sum_witness(B, p):
     Hoelder extremizer conj(phase(b_i)) |b_i|^(q-1) of that row.
     """
     m, n = B.shape
-    if sparse.issparse(B):
-        rows = np.repeat(np.arange(m), np.diff(B.indptr))
-        cols, values = B.indices, B.data
-        nz = values != 0
-        rows, cols, values = rows[nz], cols[nz], values[nz]
-    else:
-        rows, cols = np.nonzero(B)
-        values = B[rows, cols]
+    rows = np.repeat(np.arange(m), np.diff(B.indptr))
+    nz = B.data != 0
+    rows, cols, values = rows[nz], B.indices[nz], B.data[nz]
     x = np.zeros(n, dtype=complex)
     if np.bincount(rows, minlength=m).max() <= 1:
         sums = np.bincount(cols, weights=np.abs(values) ** p, minlength=n)
@@ -190,9 +183,8 @@ def power_estimate(
     """Best lower bound for the weighted p -> p norm of A."""
     p = A.p
     B = _unweighted_kernel(A)
-    values = B.data if sparse.issparse(B) else B
     n = B.shape[1]
-    if n == 0 or B.shape[0] == 0 or not np.any(values):
+    if n == 0 or B.shape[0] == 0 or not np.any(B.data):
         return NormResult(0.0, 0.0, np.zeros(n, dtype=complex), "zero", 0, True)
 
     if p == 1.0:
@@ -202,15 +194,15 @@ def power_estimate(
         x[col] = 1.0
         return _finish(A, x, "exact-l1", 0, True)
 
-    if p == 2.0:
-        _, svals, vh = np.linalg.svd(B.toarray() if sparse.issparse(B) else B)
-        return _finish(A, vh[0].conj(), "svd", 0, True)
-
     x = _rank_one_sum_witness(B, p)
     if x is not None:
         return _finish(A, x, "exact-rank-one-sum", 0, True)
 
-    nonnegative = bool(not np.any(values.imag)) and bool(np.all(values.real >= 0))
+    if p == 2.0:
+        vh = np.linalg.svd(B.toarray())[2]
+        return _finish(A, vh[0].conj(), "svd", 0, True)
+
+    nonnegative = bool(not np.any(B.data.imag)) and bool(np.all(B.data.real >= 0))
     starts = [np.ones(n, dtype=complex)]
     if not nonnegative:
         for i in range(min(n, 4)):
@@ -222,6 +214,8 @@ def power_estimate(
             starts.append(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
+    if B.shape[0] * n <= SPARSE_MIN_SIZE:
+        B = B.toarray()
     gammas, xs, iterations, converged = _boyd_block(
         B, p, np.stack(starts, axis=1), tol, max_iter
     )

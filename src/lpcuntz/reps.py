@@ -32,6 +32,7 @@ from .spatial import (
     detect,
     materialize,
     max_abs_difference,
+    pairing_adjoint,
     reverse as reverse_system,
     vector_norm,
 )
@@ -303,14 +304,6 @@ def free_rep(rep: GradedRep, n: int) -> GradedRep:
     )
 
 
-def _pairing_adjoint_sparse(mat, source_weights, target_weights):
-    """Sparse form of the bilinear-pairing adjoint D_src^-1 M^T D_tgt."""
-    m = mat.T.tocsr().astype(complex)
-    left = sparse.diags(1.0 / source_weights)
-    right = sparse.diags(target_weights)
-    return (left @ m @ right).tocsr()
-
-
 def dual_rep(rep: GradedRep) -> GradedRep:
     """Dual representation on the conjugate exponent: generator images
     are the pairing-adjoints with the s and t roles swapped."""
@@ -320,19 +313,11 @@ def dual_rep(rep: GradedRep) -> GradedRep:
 
     def s_fn(j, level):
         # adjoint of t_j: V_{level+1} -> V_level, raising the level
-        return _pairing_adjoint_sparse(
-            rep.t_matrix(j, level + 1),
-            rep.space(level + 1).weights,
-            rep.space(level).weights,
-        )
+        return pairing_adjoint(rep.generator_operator("t", j, level + 1)).kernel
 
     def t_fn(j, level):
         # adjoint of s_j: V_{level-1} -> V_level, lowering the level
-        return _pairing_adjoint_sparse(
-            rep.s_matrix(j, level - 1),
-            rep.space(level - 1).weights,
-            rep.space(level).weights,
-        )
+        return pairing_adjoint(rep.generator_operator("s", j, level - 1)).kernel
 
     return GradedRep(rep.kind, q, rep.space, s_fn, t_fn, rep.inclusion, f"dual({rep.label})")
 
@@ -603,44 +588,38 @@ class SpatialityReport:
         return "\n".join(lines)
 
 
-def _is_isometry_matrix(A: OperatorMatrix, tol: float) -> bool:
-    """Full-domain isometry test.
+def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
+    """The c >= 0 with A = c * V for a full-domain isometry V, else None.
 
-    For p != 2, a matrix is isometric iff its columns have pairwise
-    disjoint supports and each column has unit norm ratio (the equality
-    case of Clarkson's inequality forces disjointness; disjointness
-    makes the norm a p-sum over columns).  Note this is weaker than the
-    detector's block-constant semispatial form: an isometry may carry
-    non-constant column moduli.  At p = 2 the weighted Gram identity is
-    exact and disjointness is not necessary.
+    c is the largest column ratio, and every column ratio must be within
+    tol * c of it.  For p != 2, V is isometric iff its columns have
+    pairwise disjoint supports (the equality case of Clarkson's
+    inequality forces disjointness; disjointness makes the norm a p-sum
+    over columns).  This is weaker than the detector's block-constant
+    semispatial form: an isometry may carry non-constant column moduli.
+    At p = 2 the weighted Gram identity V^H D_nu V = D_mu is exact and
+    disjointness is not necessary.
     """
-    if A.p == 2.0:
-        B = A.kernel
-        gram = (B.conj().T @ sparse.diags_array(A.target.weights)) @ B
-        return max_abs_difference(gram, sparse.diags_array(A.source.weights)) <= tol * 10
-    rows, values = _nonzeros(A)
-    cut = 1e-12 * max(1.0, float(np.abs(values).max(initial=0.0)))
-    rows = rows[np.abs(values) > cut]
-    if np.unique(rows).size < rows.size:  # a row shared by two columns
-        return False
-    ratios = _column_ratios(A)
-    return bool(np.abs(ratios - 1.0).max(initial=0.0) <= tol)
-
-
-def _nonzeros(A: OperatorMatrix) -> tuple:
-    """Row index and value of each stored entry of the kernel."""
     K = A.kernel
-    if isinstance(K, np.ndarray):
-        return np.nonzero(K)[0], K[K != 0]
-    coo = K.tocoo()
-    return coo.row, coo.data
-
-
-def _column_ratios(A: OperatorMatrix) -> np.ndarray:
-    """||A e_x|| / ||e_x|| for each source atom x."""
-    mags = abs(A.kernel)
-    mags = mags.power(A.p) if sparse.issparse(mags) else mags**A.p
-    return (A.target.weights @ mags) ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
+    mags = abs(K).power(A.p)
+    ratios = (A.target.weights @ mags) ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
+    c = float(ratios.max(initial=0.0))
+    if c == 0.0:
+        return c
+    if np.abs(ratios - c).max() > tol * c:
+        return None
+    if A.p == 2.0:
+        V = K / c
+        gram = (V.conj().T @ sparse.diags_array(A.target.weights)) @ V
+        if max_abs_difference(gram, sparse.diags_array(A.source.weights)) > tol * 10:
+            return None
+        return c
+    values = np.abs(K.data * (1.0 / c))  # the entries of K / c
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    rows = rows[values > 1e-12 * max(1.0, float(values.max(initial=0.0)))]
+    if np.unique(rows).size < rows.size:  # a row shared by two columns
+        return None
+    return c
 
 
 def spatiality_report(
@@ -654,7 +633,7 @@ def spatiality_report(
 
     Norm conditions are tested on a seeded grid of coefficient vectors;
     the strong-forward-isometry test normalizes each s_lambda by its
-    largest column ratio before running the detector (sampling is
+    largest column ratio before the isometry test (sampling is
     declared in the notes, not hidden).  Spatiality is decided the same
     way at every p: the detector must accept each s_j as a spatial
     isometry and the reverse of its system must equal t_j.  At p = 2 a
@@ -693,31 +672,34 @@ def spatiality_report(
     # forward isometric
     fi_value, fi_witness = True, {}
     for j in rep.generators:
-        if not _is_isometry_matrix(s_ops[j], norm_tol):
+        c = _isometry_scale(s_ops[j], norm_tol)
+        if c is None or abs(c - 1.0) > norm_tol:
             fi_value, fi_witness = False, {"generator": f"s_{j}"}
             break
     conditions["forward_isometric"] = Condition(fi_value, witness=fi_witness)
 
-    # strongly forward isometric: s_lambda a scalar multiple of an isometry
+    # one pass over the coefficient vectors builds each s_lambda once for
+    # strong forward isometry (s_lambda a scalar multiple of an isometry)
+    # and for p-standardness on span(s_1..s_d)
     lams = [np.eye(d)[:, i] for i in range(d)]
     lams.append(np.arange(1, d + 1).astype(complex))
     for _ in range(samples):
         lams.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     sfi_value, sfi_witness = fi_value, dict(fi_witness)
-    if fi_value:
-        for lam in lams:
-            A = _combination(s_ops, lam)
-            ratios = _column_ratios(A)
-            c = float(ratios.max(initial=0.0))
-            if c == 0.0:
-                continue
-            scaled = OperatorMatrix(A.source, A.target, p, A.kernel / c)
-            if np.abs(ratios - c).max() > norm_tol * c or not _is_isometry_matrix(
-                scaled, norm_tol
-            ):
-                sfi_value = False
-                sfi_witness = {"lambda": [str(z) for z in lam]}
-                break
+    ps_value, ps_witness = True, {}
+    for lam in lams:
+        if not (sfi_value or ps_value):
+            break
+        A = _combination(s_ops, lam)
+        if sfi_value and _isometry_scale(A, norm_tol) is None:
+            sfi_value = False
+            sfi_witness = {"lambda": [str(z) for z in lam]}
+        if ps_value:
+            est = power_estimate(A, restarts=8, seed=seed).estimate
+            expected = lp_norm(lam, p)
+            if abs(est - expected) > norm_tol * max(1.0, expected):
+                ps_value = False
+                ps_witness = {"lambda": [str(z) for z in lam], "norm": est, "expected": expected}
     conditions["strongly_forward_isometric"] = Condition(
         sfi_value,
         note=f"standard basis plus {samples} seeded samples",
@@ -728,8 +710,9 @@ def spatiality_report(
     supports = {}
     disjoint_value, disjoint_witness = True, {}
     for j in rep.generators:
-        rows, values = _nonzeros(s_ops[j])
-        rows = set(rows[np.abs(values) > 1e-12])
+        K = s_ops[j].kernel
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        rows = set(rows[np.abs(K.data) > 1e-12])
         for k, other in supports.items():
             if rows & other:
                 disjoint_value = False
@@ -762,17 +745,6 @@ def spatiality_report(
             else Condition(None, note="not decidable by detector at p = 2")
         )
     conditions["spatial"] = spatial
-
-    # p-standard on span(s_1..s_d)
-    ps_value, ps_witness = True, {}
-    for lam in lams:
-        A = _combination(s_ops, lam)
-        est = power_estimate(A, restarts=8, seed=seed).estimate
-        expected = lp_norm(lam, p)
-        if abs(est - expected) > norm_tol * max(1.0, expected):
-            ps_value = False
-            ps_witness = {"lambda": [str(z) for z in lam], "norm": est, "expected": expected}
-            break
     conditions["p_standard_s"] = Condition(ps_value, witness=ps_witness)
 
     # p-standard on span(t_1..t_d), against the conjugate exponent

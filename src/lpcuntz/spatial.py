@@ -43,11 +43,11 @@ MATRIX_TOL = 1e-12
 class OperatorMatrix:
     """Complex matrix between two weighted l^p spaces (target x source).
 
-    The kernel is held as given: a dense ndarray, or a CSR array when a
-    scipy.sparse matrix is passed (spatial partial isometries and the
-    elements they generate have few nonzeros).  Either way it is copied
-    at construction, so the operator never aliases its input.
-    ``entries`` is a read-only dense view, built on first use and cached.
+    The kernel is always a frozen CSR copy of what it is given, dense or
+    sparse (spatial partial isometries and the elements they generate
+    have few nonzeros), so the operator never aliases its input and no
+    caller branches on the form.  ``entries`` is a read-only dense view,
+    built on first use and cached.
     """
 
     __slots__ = ("source", "target", "p", "kernel", "_dense")
@@ -56,14 +56,10 @@ class OperatorMatrix:
         p = float(p)
         if not (1 <= p < np.inf):
             raise ValueError("exponent p must lie in [1, inf)")
-        if sparse.issparse(entries):
-            kernel = sparse.csr_array(entries, dtype=complex, copy=True)
-            kernel.sum_duplicates()
-            for part in (kernel.data, kernel.indices, kernel.indptr):
-                part.flags.writeable = False
-        else:
-            kernel = np.array(entries, dtype=complex)
-            kernel.flags.writeable = False
+        kernel = sparse.csr_array(entries, dtype=complex, copy=True)
+        kernel.sum_duplicates()
+        for part in (kernel.data, kernel.indices, kernel.indptr):
+            part.flags.writeable = False
         if kernel.shape != (len(target), len(source)):
             raise ValueError(
                 f"matrix shape {kernel.shape} does not match "
@@ -73,7 +69,7 @@ class OperatorMatrix:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "_dense", kernel if isinstance(kernel, np.ndarray) else None)
+        object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -93,13 +89,6 @@ class OperatorMatrix:
 
     def apply(self, xi) -> np.ndarray:
         return self.kernel @ np.asarray(xi, dtype=complex)
-
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.target != self.source:
-            raise ValueError("spaces do not chain")
-        if other.p != self.p:
-            raise ValueError("exponent mismatch")
-        return OperatorMatrix(other.source, self.target, self.p, self.kernel @ other.kernel)
 
     def __repr__(self):
         return f"OperatorMatrix({len(self.target)}x{len(self.source)}, p={self.p:g})"
@@ -129,23 +118,20 @@ def weighted_to_unweighted(A: OperatorMatrix) -> np.ndarray:
 
 
 def pairing_adjoint(A: OperatorMatrix) -> OperatorMatrix:
-    """Adjoint for the bilinear pairing <xi, eta> = sum mu(x) xi(x) eta(x);
-    lives on the conjugate exponent."""
+    """Adjoint for the bilinear pairing <xi, eta> = sum mu(x) xi(x) eta(x),
+    D_source^-1 A^T D_target; lives on the conjugate exponent."""
     q = conjugate_exponent(A.p)
     if q == np.inf:
         raise ValueError("adjoint of a p = 1 operator lands in a sup-norm space")
-    entries = (A.entries.T * A.target.weights[None, :]) / A.source.weights[:, None]
-    return OperatorMatrix(A.target, A.source, q, entries)
-
-
-def multiplication_operator(space: FiniteMeasureSpace, values, p) -> OperatorMatrix:
-    return OperatorMatrix(space, space, p, np.diag(np.asarray(values, dtype=complex)))
+    left = sparse.diags_array(1.0 / A.source.weights)
+    right = sparse.diags_array(A.target.weights)
+    return OperatorMatrix(A.target, A.source, q, left @ A.kernel.T @ right)
 
 
 def indicator_operator(space: FiniteMeasureSpace, atoms, p) -> OperatorMatrix:
     subset = set(atoms)
     diag = [1.0 if a in subset else 0.0 for a in space.atoms]
-    return multiplication_operator(space, diag, p)
+    return OperatorMatrix(space, space, p, sparse.diags_array(diag, dtype=complex))
 
 
 class SpatialSystem:
@@ -443,8 +429,8 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
 
 
 def max_abs_difference(X, Y) -> float:
-    """Largest entry modulus of X - Y for dense or sparse kernels of one
-    shape, through a sparse difference (no dense view of a sparse one)."""
+    """Largest entry modulus of X - Y for sparse matrices of one shape,
+    through a sparse difference (no dense view)."""
     diff = sparse.csr_array(X) - sparse.csr_array(Y)
     return float(np.abs(diff.data).max(initial=0.0))
 
@@ -456,7 +442,7 @@ def classify_idempotent(A: OperatorMatrix, tol: float = MATRIX_TOL):
     the first fault in row-major order."""
     if A.source != A.target:
         raise ValueError("idempotents act on a single space")
-    B = sparse.csr_array(A.kernel)
+    B = A.kernel
     rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
     cols, values = B.indices, B.data
     unit = np.abs(values - 1.0) <= tol

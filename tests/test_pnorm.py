@@ -279,14 +279,24 @@ def test_power_estimate_same_on_dense_and_csr():
         assert (m * n > SPARSE_MIN_SIZE) == (m > 100)
         for nonnegative in (True, False):
             K = random_kernel(rng, m, n, nonnegative)
+            dense = K.toarray()
             for p in (1.0, 1.5, 2.0, 3.0):
                 held_csr = lp.OperatorMatrix(src, tgt, p, K)
-                held_dense = lp.OperatorMatrix(src, tgt, p, K.toarray())
+                held_dense = lp.OperatorMatrix(src, tgt, p, dense)
+                # one frozen CSR kernel, bit for bit, sharing no memory
+                for part in ("data", "indices", "indptr"):
+                    a_part, b_part = getattr(held_csr.kernel, part), getattr(held_dense.kernel, part)
+                    assert np.array_equal(a_part, b_part)
+                    assert a_part.dtype == b_part.dtype
+                    assert not a_part.flags.writeable and not b_part.flags.writeable
+                    assert not np.shares_memory(a_part, getattr(K, part))
+                assert not np.shares_memory(held_dense.kernel.data, dense)
                 a = lp.power_estimate(held_csr, restarts=6, seed=3)
                 b = lp.power_estimate(held_dense, restarts=6, seed=3)
-                assert a.estimate == pytest.approx(b.estimate, rel=1e-12, abs=0)
-                assert (a.iterations, a.method) == (b.iterations, b.method)
-                assert np.array_equal(held_csr.entries, held_dense.entries)
+                assert (a.estimate, a.certified_lower) == (b.estimate, b.certified_lower)
+                assert (a.method, a.iterations, a.converged) == (b.method, b.iterations, b.converged)
+                assert np.array_equal(a.witness, b.witness)
+                assert np.array_equal(held_csr.entries, dense)
                 assert not held_csr.entries.flags.writeable
                 assert not held_dense.entries.flags.writeable
 
@@ -388,17 +398,22 @@ def rank_one_sums(draw):
 
 def test_rank_one_sums_pick_the_largest_block():
     # the two-entry block wins in the p-norm of columns and the q-norm
-    # of rows at p = 1.5 (2^(2/3)), the one-entry block at p = 3 (1.3)
+    # of rows at p = 1.5 (2^(2/3)), the one-entry block at p = 3 (1.3);
+    # at p = 2 the exact value replaces the SVD and agrees with it
     cols = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.3]])
-    for p, col_norm, row_norm in ((1.5, 2 ** (2 / 3), 1.3), (3.0, 1.3, 2 ** (2 / 3))):
+    cases = ((1.5, 2 ** (2 / 3), 1.3), (2.0, 2**0.5, 2**0.5), (3.0, 1.3, 2 ** (2 / 3)))
+    for p, col_norm, row_norm in cases:
         for K, expected in ((cols, col_norm), (cols.T, row_norm)):
             res = lp.power_estimate(op(K, p))
             assert res.method == "exact-rank-one-sum"
             assert res.estimate == pytest.approx(expected, rel=1e-14)
+            if p == 2.0:
+                top = np.linalg.svd(K, compute_uv=False)[0]
+                assert res.estimate == pytest.approx(top, rel=1e-12, abs=0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rank_one_sums(), st.sampled_from([1.5, 3.0, 4.0]), st.integers(0, 2**16))
+@given(rank_one_sums(), st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.integers(0, 2**16))
 def test_rank_one_sums_are_exact(kernel, p, seed):
     from lpcuntz.pnorm import _boyd_block
     from lpcuntz.spatial import weighted_to_unweighted
@@ -422,7 +437,7 @@ def test_rank_one_sums_are_exact(kernel, p, seed):
     gammas = _boyd_block(B, p, starts, 1e-12, 600)[0]
     assert res.estimate >= gammas.max() - 1e-12
     # a new row and a new column, each holding two entries: no longer
-    # a rank-one sum, so Boyd runs
+    # a rank-one sum, so the SVD (p = 2) or Boyd runs
     K = np.zeros((m + 1, n + 1), dtype=complex)
     K[:-1, :-1] = A.entries
     K[-1, -2:] = [1.0, 0.5j]
@@ -433,4 +448,5 @@ def test_rank_one_sums_are_exact(kernel, p, seed):
         p,
         sparse.csr_matrix(K) if sparse.issparse(held) else K,
     )
-    assert lp.power_estimate(wider, restarts=8, seed=seed).method.startswith("boyd-")
+    method = lp.power_estimate(wider, restarts=8, seed=seed).method
+    assert (method == "svd") if p == 2.0 else method.startswith("boyd-")

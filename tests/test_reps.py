@@ -627,7 +627,7 @@ def loop_disjoint_columns(A):
 
 
 def test_column_tests_match_loop_reference():
-    from lpcuntz.reps import _column_ratios, _is_isometry_matrix
+    from lpcuntz.reps import _isometry_scale
 
     rng = np.random.default_rng(12)
     reps = [
@@ -641,28 +641,104 @@ def test_column_tests_match_loop_reference():
         s1, s2 = (rep.generator_operator("s", j, 3) for j in (1, 2))
         lam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         combo = lam[0] * s1.kernel + lam[1] * s2.kernel
-        for kernel in (s1.kernel, combo, combo.toarray()):
+        # unequal column ratios: not a multiple of an isometry
+        skewed = combo @ sparse.diags_array(np.linspace(1.0, 2.0, combo.shape[1]))
+        for kernel in (s1.kernel, combo, combo.toarray(), skewed):
             A = lp.OperatorMatrix(s1.source, s1.target, rep.p, kernel)
-            ratios = _column_ratios(A)
-            assert np.abs(ratios - loop_column_ratios(A)).max() <= 1e-12
-            expected = loop_disjoint_columns(A) and np.abs(ratios - 1.0).max() <= 1e-8
-            assert _is_isometry_matrix(A, 1e-8) == expected
-            seen.add(expected)
-    assert seen == {True, False}
+            ratios = loop_column_ratios(A)
+            c = ratios.max()
+            scaled = np.abs(ratios - c).max() <= 1e-8 * c and loop_disjoint_columns(A)
+            scale = _isometry_scale(A, 1e-8)
+            assert (scale is not None) == scaled
+            if scaled:
+                assert scale == pytest.approx(c, rel=1e-12, abs=0)
+            seen.add((scaled, scaled and abs(c - 1.0) <= 1e-8))
+    assert seen == {(True, True), (True, False), (False, False)}
     # unit columns sharing a row are not an isometry, whatever the ratios
     space = lp.FiniteMeasureSpace(range(2), [1.0, 1.0])
     for kernel in ([[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]):
         for held in (np.array(kernel), sparse.csr_matrix(kernel)):
             A = lp.OperatorMatrix(space, space, 3.0, held)
-            assert _is_isometry_matrix(A, 1e-8) == loop_disjoint_columns(A)
+            assert _isometry_scale(A, 1e-8) == (1.0 if loop_disjoint_columns(A) else None)
     # p = 2: the weighted Gram identity, which a rotation satisfies
     c = 2.0 ** -0.5
     for kernel, expected in (([[c, -c], [c, c]], True), ([[1.0, 1.0], [0.0, 0.0]], False)):
         for held in (np.array(kernel), sparse.csr_matrix(kernel)):
-            assert _is_isometry_matrix(lp.OperatorMatrix(space, space, 2.0, held), 1e-8) == expected
+            scale = _isometry_scale(lp.OperatorMatrix(space, space, 2.0, held), 1e-8)
+            assert (scale is not None) == expected
     s1 = lp.interval_rep(2, 2.0).generator_operator("s", 1, 3)
-    assert _is_isometry_matrix(s1, 1e-8)
-    assert not _is_isometry_matrix(lp.OperatorMatrix(s1.source, s1.target, 2.0, 1.5 * s1.kernel), 1e-8)
+    assert _isometry_scale(s1, 1e-8) == pytest.approx(1.0, rel=1e-12)
+    scaled = lp.OperatorMatrix(s1.source, s1.target, 2.0, 1.5 * s1.kernel)
+    assert _isometry_scale(scaled, 1e-8) == pytest.approx(1.5, rel=1e-12)
+
+
+def dense_pairing_adjoint(A):
+    """Reference: the dense formula (A^T * nu) / mu, entrywise."""
+    return (A.entries.T * A.target.weights[None, :]) / A.source.weights[:, None]
+
+
+def sparse_pairing_adjoint(mat, source_weights, target_weights):
+    """Reference: D_src^-1 M^T D_tgt as a product of sparse matrices."""
+    m = mat.T.tocsr().astype(complex)
+    left = sparse.diags(1.0 / source_weights)
+    right = sparse.diags(target_weights)
+    return (left @ m @ right).tocsr()
+
+
+def assert_close_rel(X, Y, rel):
+    X = X.toarray() if sparse.issparse(X) else X
+    Y = Y.toarray() if sparse.issparse(Y) else Y
+    assert X.shape == Y.shape
+    assert np.abs(X - Y).max(initial=0.0) <= rel * np.abs(Y).max(initial=0.0)
+
+
+def test_pairing_adjoint_matches_reference_formulas():
+    rng = np.random.default_rng(31)
+    for p in (1.5, 3.0):
+        for _ in range(5):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            K = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * (
+                rng.uniform(size=(m, n)) < 0.5
+            )
+            src = lp.FiniteMeasureSpace(range(n), rng.uniform(0.1, 3.0, n))
+            tgt = lp.FiniteMeasureSpace(range(m), rng.uniform(0.1, 3.0, m))
+            A = lp.OperatorMatrix(src, tgt, p, K)
+            adj = lp.pairing_adjoint(A)
+            assert (adj.source, adj.target, adj.p) == (tgt, src, p / (p - 1.0))
+            assert_close_rel(adj.kernel, dense_pairing_adjoint(A), 1e-15)
+            assert_close_rel(adj.kernel, sparse_pairing_adjoint(A.kernel, src.weights, tgt.weights), 1e-15)
+        bases = [
+            lp.interval_rep(2, p),
+            lp.sequence_rep(3, p),
+            lp.fourier_twist(lp.sequence_rep(2, p)),
+            lp.direct_sum_p([lp.interval_rep(2, p), lp.sequence_rep(2, p)]),
+        ]
+        for rep in bases:
+            du = lp.dual_rep(rep)
+            for level in (1, 2, 3):
+                for j in rep.generators:
+                    t_up = rep.generator_operator("t", j, level + 1)
+                    s_down = rep.generator_operator("s", j, level - 1)
+                    assert_close_rel(du.s_matrix(j, level), dense_pairing_adjoint(t_up), 1e-15)
+                    assert_close_rel(du.t_matrix(j, level), dense_pairing_adjoint(s_down), 1e-15)
+                    assert_close_rel(
+                        du.s_matrix(j, level),
+                        sparse_pairing_adjoint(
+                            rep.t_matrix(j, level + 1),
+                            rep.space(level + 1).weights,
+                            rep.space(level).weights,
+                        ),
+                        1e-15,
+                    )
+                    assert_close_rel(
+                        du.t_matrix(j, level),
+                        sparse_pairing_adjoint(
+                            rep.s_matrix(j, level - 1),
+                            rep.space(level - 1).weights,
+                            rep.space(level).weights,
+                        ),
+                        1e-15,
+                    )
 
 
 def loop_evaluate(rep, a, level, reduce=True):
