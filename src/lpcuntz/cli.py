@@ -30,15 +30,21 @@ from .reps import (
     spatiality_report,
     tensor_identity,
 )
-from .spatial import Rejection, detect, matrix_from_json, matrix_to_json, system_to_json
+from .spatial import (
+    DETECT_TOL,
+    Rejection,
+    detect,
+    matrix_from_json,
+    matrix_to_json,
+    system_to_json,
+)
 from .verify import SUITES, run_suite
 
 
 def _kind_of(args):
-    name = getattr(args, "kind", "leavitt") or "leavitt"
-    if name == "cohn":
+    if args.kind == "cohn":
         return cohn(args.d)
-    if name == "linf":
+    if args.kind == "linf":
         return leavitt_infinity()
     return leavitt(args.d)
 
@@ -70,7 +76,7 @@ def rep_from_descriptor(text: str, d: int, p: float):
     raise ValueError(f"unknown representation descriptor {text!r}")
 
 
-def descriptor_json(text: str, args, level=None) -> dict:
+def descriptor_json(text: str, args, level: int) -> dict:
     """Structured form of a representation descriptor."""
     head, _, rest = text.strip().partition(":")
     return {
@@ -78,17 +84,17 @@ def descriptor_json(text: str, args, level=None) -> dict:
         "parameters": rest,
         "d": args.d,
         "p": args.p,
-        "level_max": level if level is not None else getattr(args, "nmax", None),
+        "level_max": level,
     }
 
 
-def _emit(args, payload: dict, pretty_lines=None):
+def _emit(args, payload: dict, pretty_lines, csv_text=None):
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
-    elif args.format == "csv" and "csv" in payload:
-        text = payload["csv"]
+    elif args.format == "csv":
+        text = csv_text
     else:
-        text = "\n".join(pretty_lines) if pretty_lines else json.dumps(payload, sort_keys=True, indent=2)
+        text = "\n".join(pretty_lines)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
@@ -127,7 +133,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kind = _kind_of(args)
+    kind = leavitt(args.d)
     rep = rep_from_descriptor(args.rep, args.d, float(args.p))
     element = parse_element(args.element, kind)
     matrix = evaluate(rep, element, args.level)
@@ -146,43 +152,27 @@ def cmd_eval(args) -> int:
 
 
 def _norm_sequence(rep, element, args):
-    return norm_sequence(
-        rep,
-        element,
-        args.nmax,
-        restarts=args.restarts,
-        seed=args.seed,
-        stall_eps=1e-3 if args.tol is None else args.tol,
-    )
+    return norm_sequence(rep, element, args.nmax, restarts=args.restarts, seed=args.seed)
 
 
 def _norm_rows(rep, element, args):
     seq = _norm_sequence(rep, element, args)
-    rows = []
-    for level, res in zip(seq.levels, seq.results):
-        rows.append(
-            {
-                "level": level,
-                "lower_bound": res.estimate,
-                "converged": res.converged,
-                "witness_norm": float(np.abs(res.witness).max(initial=0.0)),
-            }
-        )
-    return rows, seq.stabilized
+    return [
+        {"level": level, "lower_bound": res.estimate, "converged": res.converged}
+        for level, res in zip(seq.levels, seq.results)
+    ]
 
 
 def cmd_norm(args) -> int:
-    kind = _kind_of(args)
-    element = parse_element(args.element, kind)
+    element = parse_element(args.element, leavitt(args.d))
     rep = rep_from_descriptor(args.rep, args.d, float(args.p))
-    rows, stabilized = _norm_rows(rep, element, args)
+    rows = _norm_rows(rep, element, args)
     payload = {
         "element": args.element,
         "p": args.p,
         "rep": args.rep,
-        "rep_descriptor": descriptor_json(args.rep, args),
+        "rep_descriptor": descriptor_json(args.rep, args, args.nmax),
         "levels": rows,
-        "stabilized": stabilized,
     }
     lines = [f"norm lower bounds for {args.element!r} under {args.rep} (p = {args.p})"]
     lines += [
@@ -190,24 +180,18 @@ def cmd_norm(args) -> int:
         + ("" if r["converged"] else "  (not converged)")
         for r in rows
     ]
-    lines.append(f"stabilized: {stabilized}")
     if args.rep2:
         rep2 = rep_from_descriptor(args.rep2, args.d, float(args.p))
-        rows2, stab2 = _norm_rows(rep2, element, args)
+        rows2 = _norm_rows(rep2, element, args)
         payload["rep2"] = args.rep2
         payload["levels2"] = rows2
-        payload["stabilized2"] = stab2
         diff = abs(rows[-1]["lower_bound"] - rows2[-1]["lower_bound"])
         payload["final_difference"] = diff
         lines.append(f"{args.rep2} final: {rows2[-1]['lower_bound']:.12g}")
         lines.append(f"final difference: {diff:.3g}")
-    csv_lines = ["level,lower_bound,converged,witness_norm"]
-    csv_lines += [
-        f"{r['level']},{r['lower_bound']!r},{r['converged']},{r['witness_norm']!r}"
-        for r in rows
-    ]
-    payload["csv"] = "\n".join(csv_lines)
-    _emit(args, payload, pretty_lines=lines)
+    csv_lines = ["level,lower_bound,converged"]
+    csv_lines += [f"{r['level']},{r['lower_bound']!r},{r['converged']}" for r in rows]
+    _emit(args, payload, lines, csv_text="\n".join(csv_lines))
     return 0
 
 
@@ -250,6 +234,8 @@ def _jsonable(value):
 
 
 def cmd_lamperti(args) -> int:
+    if args.tol < 0:
+        raise ValueError(f"--tol must be nonnegative, got {args.tol}")
     with open(args.matrix) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -257,7 +243,7 @@ def cmd_lamperti(args) -> int:
     if args.p is not None:
         data["p"] = args.p
     matrix = matrix_from_json(data)
-    result = detect(matrix, tol=1e-9 if args.tol is None else args.tol)
+    result = detect(matrix, tol=args.tol)
     if isinstance(result, Rejection):
         payload = {"accepted": False, "reason": result.reason,
                    "witness": _jsonable(result.witness)}
@@ -277,11 +263,10 @@ def cmd_lamperti(args) -> int:
 
 
 def cmd_report_spatiality(args) -> int:
-    depth = 2 if args.level is None else args.level
-    if depth < 1:
-        raise ValueError(f"--level must be at least 1, got {depth}")
+    if args.level < 1:
+        raise ValueError(f"--level must be at least 1, got {args.level}")
     rep = rep_from_descriptor(args.rep, args.d, float(args.p))
-    report = spatiality_report(rep, depth=depth, seed=args.seed)
+    report = spatiality_report(rep, depth=args.level, seed=args.seed)
     payload = {
         "rep": args.rep,
         "p": args.p,
@@ -298,8 +283,7 @@ def cmd_report_spatiality(args) -> int:
 
 
 def cmd_compare_reps(args) -> int:
-    kind = _kind_of(args)
-    element = parse_element(args.element, kind)
+    element = parse_element(args.element, leavitt(args.d))
     rows = []
     lines = [f"norm profile of {args.element!r} at p = {args.p}"]
     for descriptor in args.reps:
@@ -310,31 +294,39 @@ def cmd_compare_reps(args) -> int:
                 "rep": descriptor,
                 "levels": list(seq.levels),
                 "lower_bounds": [r.estimate for r in seq.results],
-                "stabilized": seq.stabilized,
             }
         )
-        lines.append(
-            f"  {descriptor:24s} final {seq.results[-1].estimate:.10g}"
-            + (" (stabilized)" if seq.stabilized else "")
-        )
+        lines.append(f"  {descriptor:24s} final {seq.results[-1].estimate:.10g}")
     payload = {"element": args.element, "p": args.p, "profiles": rows}
     _emit(args, payload, pretty_lines=lines)
     return 0
 
 
-def _add_common(parser, with_rep=False):
-    parser.add_argument("-d", "--d", type=int, default=2, help="number of generators")
-    parser.add_argument("-p", "--p", default="2", help="exponent, as a decimal literal")
-    parser.add_argument("--kind", choices=["leavitt", "cohn", "linf"], default="leavitt")
-    parser.add_argument("--level", type=int, default=None)
-    parser.add_argument("--nmax", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--restarts", type=int, default=20)
-    parser.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
+# every flag a subcommand may take: (option strings, add_argument keywords)
+_FLAGS = {
+    "d": (("-d", "--d"), {"type": int, "default": 2, "help": "number of generators"}),
+    "p": (("-p", "--p"), {"default": "2", "help": "exponent, as a decimal literal"}),
+    "kind": (("--kind",), {"choices": ["leavitt", "cohn", "linf"], "default": "leavitt"}),
+    "level": (("--level",), {"type": int}),
+    "nmax": (("--nmax",), {"type": int, "default": 4}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
+    "tol": (("--tol",), {"type": float, "default": DETECT_TOL}),
+    "restarts": (("--restarts",), {"type": int, "default": 20}),
+    "rep": (("--rep",), {"default": "sequence"}),
+    "atoms": (("--atoms",), {"type": int}),
+    "cases": (("--cases",), {"type": int}),
+}
+
+
+def _subcommand(sub, name, help, flags, formats=("pretty", "json")):
+    """A subparser that takes exactly the named flags, plus --format and --out."""
+    parser = sub.add_parser(name, help=help)
+    for flag in flags:
+        options, keywords = _FLAGS[flag]
+        parser.add_argument(*options, **keywords)
+    parser.add_argument("--format", choices=formats, default="pretty")
     parser.add_argument("--out", default=None)
-    if with_rep:
-        parser.add_argument("--rep", default="sequence")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,48 +337,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_nf = sub.add_parser("nf", help="canonical normal form of an element")
-    _add_common(p_nf)
+    p_nf = _subcommand(sub, "nf", "canonical normal form of an element", ["d", "kind"])
     p_nf.add_argument("element")
     p_nf.set_defaults(func=cmd_nf)
 
-    p_mul = sub.add_parser("mul", help="canonical product of two elements")
-    _add_common(p_mul)
+    p_mul = _subcommand(sub, "mul", "canonical product of two elements", ["d", "kind"])
     p_mul.add_argument("left")
     p_mul.add_argument("right")
     p_mul.set_defaults(func=cmd_mul)
 
-    p_eval = sub.add_parser("eval", help="matrix of an element at a truncation level")
-    _add_common(p_eval, with_rep=True)
+    p_eval = _subcommand(
+        sub, "eval", "matrix of an element at a truncation level", ["d", "p", "level", "rep"]
+    )
     p_eval.add_argument("element")
     p_eval.set_defaults(func=cmd_eval, level=2)
 
-    p_norm = sub.add_parser("norm", help="per-level norm lower bounds")
-    _add_common(p_norm, with_rep=True)
+    p_norm = _subcommand(
+        sub, "norm", "per-level norm lower bounds",
+        ["d", "p", "nmax", "seed", "restarts", "rep"], formats=("pretty", "json", "csv"),
+    )
     p_norm.add_argument("--rep2", default=None)
     p_norm.add_argument("element")
     p_norm.set_defaults(func=cmd_norm)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p_verify)
+    p_verify = _subcommand(
+        sub, "verify", "run a verification suite", ["d", "level", "seed", "atoms", "cases"]
+    )
     p_verify.add_argument("suite")
-    p_verify.add_argument("--atoms", type=int, default=None)
-    p_verify.add_argument("--cases", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify, d=None)
 
-    p_lamp = sub.add_parser(
-        "lamperti", help="semispatial decomposition of a matrix, or rejection"
+    p_lamp = _subcommand(
+        sub, "lamperti", "semispatial decomposition of a matrix, or rejection", ["p", "tol"]
     )
-    _add_common(p_lamp)
     p_lamp.add_argument("matrix", help="path to a matrix JSON file")
     p_lamp.set_defaults(func=cmd_lamperti, p=None)
 
-    p_rs = sub.add_parser("report-spatiality", help="representation-class report")
-    _add_common(p_rs, with_rep=True)
-    p_rs.set_defaults(func=cmd_report_spatiality)
+    p_rs = _subcommand(
+        sub, "report-spatiality", "representation-class report", ["d", "p", "level", "seed", "rep"]
+    )
+    p_rs.set_defaults(func=cmd_report_spatiality, level=2)
 
-    p_cmp = sub.add_parser("compare-reps", help="norm profiles across representations")
-    _add_common(p_cmp)
+    p_cmp = _subcommand(
+        sub, "compare-reps", "norm profiles across representations",
+        ["d", "p", "nmax", "seed", "restarts"],
+    )
     p_cmp.add_argument("--rep", dest="reps", action="append", required=True)
     p_cmp.add_argument("element")
     p_cmp.set_defaults(func=cmd_compare_reps)
@@ -415,8 +409,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.tol is not None and args.tol < 0:
-            raise ValueError(f"--tol must be nonnegative, got {args.tol}")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ from scipy.stats import qmc
 from .spatial import (
     OperatorMatrix,
     conjugate_exponent,
+    unweighted_kernel,
     vector_norm,
     weighted_to_unweighted,
 )
@@ -39,6 +40,9 @@ ORACLE_MAX_DIM = 8
 # Boyd runs on CSR above this many kernel entries and dense at or below
 # it: CSR matvecs lose ~4x up to 64 x 32 and win ~27x at 1024 x 512.
 SPARSE_MIN_SIZE = 2**14
+# Boyd's relative stopping tolerance and iteration cap per start
+BOYD_TOL = 1e-12
+BOYD_MAX_ITER = 600
 
 
 @dataclass(frozen=True)
@@ -123,16 +127,6 @@ def _boyd_block(B, p, X0, tol, max_iter):
     return gammas, best_x, iterations, converged
 
 
-def _unweighted_kernel(A: OperatorMatrix):
-    """CSR kernel with the weights absorbed, D_nu^(1/p) A D_mu^(-1/p)."""
-    left = A.target.weights ** (1.0 / A.p)
-    right = A.source.weights ** (-1.0 / A.p)
-    B = A.kernel.copy()
-    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-    B.data = (left[rows] * B.data) * right[B.indices]
-    return B
-
-
 def _rank_one_sum_witness(B, p):
     """Unweighted extremal vector of the CSR kernel B when B is an l^p
     direct sum of rank-one blocks, else None.
@@ -173,16 +167,10 @@ def _finish(A: OperatorMatrix, x_unweighted, method, iterations, converged):
     return NormResult(value, value, x, method, iterations, converged)
 
 
-def power_estimate(
-    A: OperatorMatrix,
-    restarts: int = 20,
-    seed: int = 0,
-    tol: float = 1e-12,
-    max_iter: int = 600,
-) -> NormResult:
+def power_estimate(A: OperatorMatrix, restarts: int = 20, seed: int = 0) -> NormResult:
     """Best lower bound for the weighted p -> p norm of A."""
     p = A.p
-    B = _unweighted_kernel(A)
+    B = unweighted_kernel(A)
     n = B.shape[1]
     if n == 0 or B.shape[0] == 0 or not np.any(B.data):
         return NormResult(0.0, 0.0, np.zeros(n, dtype=complex), "zero", 0, True)
@@ -217,7 +205,7 @@ def power_estimate(
     if B.shape[0] * n <= SPARSE_MIN_SIZE:
         B = B.toarray()
     gammas, xs, iterations, converged = _boyd_block(
-        B, p, np.stack(starts, axis=1), tol, max_iter
+        B, p, np.stack(starts, axis=1), BOYD_TOL, BOYD_MAX_ITER
     )
     best = int(np.argmax(gammas))
     x = xs[:, best] if gammas[best] > 0.0 else np.ones(n, dtype=complex)
@@ -335,41 +323,29 @@ def rank_one_exact(mu_vec, eta_vec, p, source=None, target=None) -> float:
 
 @dataclass(frozen=True)
 class NormSequence:
+    """Norm lower bounds of one element, level by level."""
+
     levels: tuple
     results: tuple  # NormResult per level
-    stabilized: bool
 
     @property
     def values(self):
         return [r.estimate for r in self.results]
 
 
-def norm_sequence(
-    rep,
-    a,
-    n_max: int,
-    n_min: int | None = None,
-    restarts: int = 20,
-    seed: int = 0,
-    stall_eps: float = 1e-3,
-) -> NormSequence:
-    """Per-level norm lower bounds for a graded representation; they are
-    nondecreasing in the level and converge upward to the norm in the
-    completed algebra, so the last value is a certified lower bound and
-    the sequence is flagged stabilized once successive levels differ by
-    less than stall_eps."""
+def norm_sequence(rep, a, n_max: int, restarts: int = 20, seed: int = 0) -> NormSequence:
+    """Per-level norm lower bounds for a graded representation, from the
+    element's t-depth to n_max.  They are nondecreasing in the level and
+    converge upward to the norm in the completed algebra, so every value
+    is a certified lower bound for that norm; a small step between two
+    levels certifies nothing about the distance to it."""
     from .reps import evaluate
 
-    depth = a.t_depth()
-    lo = depth if n_min is None else max(n_min, depth)
+    lo = a.t_depth()
     if lo > n_max:
         raise ValueError(f"level range [{lo}, {n_max}] is empty")
     levels = tuple(range(lo, n_max + 1))
-    results = []
-    for level in levels:
-        A = evaluate(rep, a, level)
-        results.append(power_estimate(A, restarts=restarts, seed=seed))
-    stabilized = len(results) >= 2 and abs(
-        results[-1].estimate - results[-2].estimate
-    ) < stall_eps
-    return NormSequence(levels=levels, results=tuple(results), stabilized=stabilized)
+    results = tuple(
+        power_estimate(evaluate(rep, a, level), restarts=restarts, seed=seed) for level in levels
+    )
+    return NormSequence(levels=levels, results=results)

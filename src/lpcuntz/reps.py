@@ -80,6 +80,11 @@ class GradedRep:
 
 # -- constructors ---------------------------------------------------------
 
+# The twists re-check the defining relations up to this level; the
+# Fourier twist fails above a residual of _FOURIER_RESIDUAL_TOL.
+_TWIST_CHECK_LEVEL = 2
+_FOURIER_RESIDUAL_TOL = 1e-10
+
 
 def interval_rep(d: int, p: float) -> GradedRep:
     """Subdivision picture of L_d: V_N is the space of step functions on
@@ -160,7 +165,7 @@ def sequence_rep(d: int, p: float) -> GradedRep:
     return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"sequence(d={d})")
 
 
-def fourier_twist(rep: GradedRep, verify_levels: int = 2, tol: float = 1e-10) -> GradedRep:
+def fourier_twist(rep: GradedRep) -> GradedRep:
     """Pre-compose with the Fourier automorphism: the new generator
     images are v_k = d^(-1/p) sum_j w^(jk) s_j and
     w_k = d^(-1/q) sum_j w^(-jk) t_j with w = exp(2 pi i / d).  The
@@ -187,8 +192,8 @@ def fourier_twist(rep: GradedRep, verify_levels: int = 2, tol: float = 1e-10) ->
         rep.kind, p, rep.space, s_fn, t_fn, rep.inclusion,
         f"fourier({rep.label})",
     )
-    residual = check_relations(out, verify_levels)
-    if residual > tol:
+    residual = check_relations(out, _TWIST_CHECK_LEVEL)
+    if residual > _FOURIER_RESIDUAL_TOL:
         raise ValueError(f"twisted relations fail: residual {residual:.3e}")
     return out
 
@@ -322,7 +327,7 @@ def dual_rep(rep: GradedRep) -> GradedRep:
     return GradedRep(rep.kind, q, rep.space, s_fn, t_fn, rep.inclusion, f"dual({rep.label})")
 
 
-def twist_by_invertible(rep: GradedRep, u, check_levels: int = 2) -> GradedRep:
+def twist_by_invertible(rep: GradedRep, u) -> GradedRep:
     """Conjugation-style twist: s_j -> u s_j and t_j -> t_j u^(-1).
 
     u is a scalar or a callable level -> matrix on V_level; it must
@@ -343,7 +348,9 @@ def twist_by_invertible(rep: GradedRep, u, check_levels: int = 2) -> GradedRep:
         )
         cond = 1.0
     else:
-        dense = {level: np.asarray(u(level), dtype=complex) for level in range(check_levels + 2)}
+        dense = {
+            level: np.asarray(u(level), dtype=complex) for level in range(_TWIST_CHECK_LEVEL + 2)
+        }
         cond = max(float(np.linalg.cond(m)) for m in dense.values())
         if not np.isfinite(cond):
             raise ValueError("u is singular")
@@ -362,7 +369,7 @@ def twist_by_invertible(rep: GradedRep, u, check_levels: int = 2) -> GradedRep:
         rep.kind, rep.p, rep.space, s_fn, t_fn, rep.inclusion, f"twist({rep.label})"
     )
     out.u_condition = cond
-    residual = check_relations(out, check_levels)
+    residual = check_relations(out, _TWIST_CHECK_LEVEL)
     if residual > 1e-8 * max(1.0, cond):
         raise ValueError(f"twisted relations fail: residual {residual:.3e}")
     return out
@@ -557,6 +564,9 @@ def reconstruct_t_from_s(rep: GradedRep, level: int) -> float:
 
 # -- spatiality report ------------------------------------------------------
 
+# relative tolerance of the report's norm and isometry conditions
+_REPORT_NORM_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -623,11 +633,7 @@ def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
 
 
 def spatiality_report(
-    rep: GradedRep,
-    depth: int = 2,
-    seed: int = 0,
-    samples: int = 50,
-    norm_tol: float = 1e-8,
+    rep: GradedRep, depth: int = 2, seed: int = 0, samples: int = 50
 ) -> SpatialityReport:
     """Decide the representation-class conditions at a truncation level.
 
@@ -664,7 +670,7 @@ def spatiality_report(
     largest = max(norms.values())
     named = next(name for name, est in norms.items() if est >= largest * (1.0 - 1e-12))
     conditions["contractive_on_generators"] = Condition(
-        largest <= 1.0 + norm_tol,
+        largest <= 1.0 + _REPORT_NORM_TOL,
         note="largest generator norm estimate",
         witness={"generator": named, "norm": largest},
     )
@@ -672,8 +678,8 @@ def spatiality_report(
     # forward isometric
     fi_value, fi_witness = True, {}
     for j in rep.generators:
-        c = _isometry_scale(s_ops[j], norm_tol)
-        if c is None or abs(c - 1.0) > norm_tol:
+        c = _isometry_scale(s_ops[j], _REPORT_NORM_TOL)
+        if c is None or abs(c - 1.0) > _REPORT_NORM_TOL:
             fi_value, fi_witness = False, {"generator": f"s_{j}"}
             break
     conditions["forward_isometric"] = Condition(fi_value, witness=fi_witness)
@@ -691,13 +697,13 @@ def spatiality_report(
         if not (sfi_value or ps_value):
             break
         A = _combination(s_ops, lam)
-        if sfi_value and _isometry_scale(A, norm_tol) is None:
+        if sfi_value and _isometry_scale(A, _REPORT_NORM_TOL) is None:
             sfi_value = False
             sfi_witness = {"lambda": [str(z) for z in lam]}
         if ps_value:
             est = power_estimate(A, restarts=8, seed=seed).estimate
             expected = lp_norm(lam, p)
-            if abs(est - expected) > norm_tol * max(1.0, expected):
+            if abs(est - expected) > _REPORT_NORM_TOL * max(1.0, expected):
                 ps_value = False
                 ps_witness = {"lambda": [str(z) for z in lam], "norm": est, "expected": expected}
     conditions["strongly_forward_isometric"] = Condition(
@@ -752,7 +758,7 @@ def spatiality_report(
     for lam in lams[: d + 1 + samples // 2]:
         est = power_estimate(_combination(t_ops, lam), restarts=8, seed=seed).estimate
         expected = lp_norm(lam, q)
-        if abs(est - expected) > norm_tol * max(1.0, expected):
+        if abs(est - expected) > _REPORT_NORM_TOL * max(1.0, expected):
             pt_value = False
             pt_witness = {"gamma": [str(z) for z in lam], "norm": est, "expected": expected}
             break
@@ -798,7 +804,7 @@ def spatiality_report(
             for k in rep.generators:
                 ejk = evaluate(rep, monomial(rep.kind, (j,), (k,)), level)
                 est = power_estimate(ejk, restarts=4, seed=seed).estimate
-                if est > 1.0 + norm_tol:
+                if est > 1.0 + _REPORT_NORM_TOL:
                     md_value = False
                     md_witness = {"unit": f"e_{j}{k}", "norm": est}
                     break

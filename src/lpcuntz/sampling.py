@@ -22,14 +22,11 @@ def random_phases(rng, atoms) -> dict:
     return {a: complex(np.cos(t), np.sin(t)) for a, t in zip(atoms, angles)}
 
 
-def random_spatial_system(
-    rng, max_atoms: int = 6, domain=None, codomain=None, full_domain: bool = False
-) -> SpatialSystem:
+def random_spatial_system(rng, max_atoms: int = 6, domain=None, codomain=None) -> SpatialSystem:
     """Random spatial system: a partial bijection E -> F with phases."""
     domain = domain if domain is not None else random_space(rng, max_atoms, "x")
     codomain = codomain if codomain is not None else random_space(rng, max_atoms, "y")
-    k_max = min(len(domain), len(codomain))
-    k = k_max if full_domain else int(rng.integers(1, k_max + 1))
+    k = int(rng.integers(1, min(len(domain), len(codomain)) + 1))
     E = [domain.atoms[i] for i in sorted(rng.choice(len(domain), size=k, replace=False))]
     F = [codomain.atoms[i] for i in sorted(rng.choice(len(codomain), size=k, replace=False))]
     image = list(rng.permutation(k))

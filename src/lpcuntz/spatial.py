@@ -108,13 +108,20 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def weighted_to_unweighted(A: OperatorMatrix) -> np.ndarray:
-    """Kernel with the weights absorbed: D_nu^(1/p) A D_mu^(-1/p), so
+def unweighted_kernel(A: OperatorMatrix):
+    """CSR kernel with the weights absorbed: D_nu^(1/p) A D_mu^(-1/p), so
     plain l^p norms of the result match weighted norms of A."""
-    p = A.p
-    left = A.target.weights ** (1.0 / p)
-    right = A.source.weights ** (-1.0 / p)
-    return (left[:, None] * A.entries) * right[None, :]
+    left = A.target.weights ** (1.0 / A.p)
+    right = A.source.weights ** (-1.0 / A.p)
+    B = A.kernel.copy()
+    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    B.data = (left[rows] * B.data) * right[B.indices]
+    return B
+
+
+def weighted_to_unweighted(A: OperatorMatrix) -> np.ndarray:
+    """Dense form of unweighted_kernel(A)."""
+    return unweighted_kernel(A).toarray()
 
 
 def pairing_adjoint(A: OperatorMatrix) -> OperatorMatrix:

@@ -2,12 +2,14 @@
 JSON output."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lpcuntz as lp
-from lpcuntz.cli import main, rep_from_descriptor
+from lpcuntz.cli import build_parser, main, rep_from_descriptor
 from lpcuntz.spatial import matrix_to_json
 
 
@@ -55,14 +57,60 @@ def test_usage_error_exit_code():
         ("verify", "relations", "--level", "0"),
         ("verify", "relations", "--d", "0"),
         ("report-spatiality", "--level", "0"),
-        ("norm", "--tol", "-1", "s1"),
-        ("compare-reps", "--rep", "sequence", "--tol", "-0.5", "s1"),
-        ("norm", "--tol", "-1e-9", "s1"),
+        ("lamperti", "--tol", "-1", "no-such-dir/missing.json"),
+        ("lamperti", "--tol", "-0.5", "no-such-dir/missing.json"),
+        ("lamperti", "--tol", "-1e-9", "no-such-dir/missing.json"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "-1e-9"])
+def test_negative_tol_message(capsys, tol):
+    # checked before the file is read; argparse alone takes -1e-9 for a flag
+    code, _, err = run(capsys, "lamperti", "--tol", tol, "no-such-dir/missing.json")
+    assert code == 2 and err.startswith("error: --tol must be nonnegative")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nf", "--nmax", "3", "s1"),
+        ("nf", "--tol", "5", "s1"),
+        ("mul", "--format", "csv", "s1", "t1"),
+        ("mul", "-p", "3", "s1", "t1"),
+        ("eval", "--kind", "cohn", "1"),
+        ("eval", "--seed", "1", "1"),
+        ("norm", "--kind", "linf", "s1"),
+        ("norm", "--tol", "0.1", "s1"),
+        ("compare-reps", "--rep", "sequence", "--level", "2", "s1"),
+        ("compare-reps", "--rep", "sequence", "--format", "csv", "s1"),
+        ("report-spatiality", "--kind", "cohn"),
+        ("report-spatiality", "--nmax", "3"),
+        ("verify", "skew-table", "-p", "3"),
+        ("verify", "skew-table", "--restarts", "3"),
+        ("lamperti", "--seed", "1", "matrix.json"),
+        ("lamperti", "-d", "2", "matrix.json"),
+    ],
+)
+def test_flag_without_reader_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = [
+        line for block in blocks for line in block.splitlines() if line.startswith("lpcuntz ")
+    ]
+    assert len(lines) == 11
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize(
@@ -115,8 +163,10 @@ def test_norm_csv_and_determinism(capsys):
     assert out1 == out2  # byte-identical for identical config
     data = json.loads(out1)
     assert data["levels"][0]["level"] == 1
-    csv = data["csv"].splitlines()
-    assert csv[0] == "level,lower_bound,converged,witness_norm"
+    code, out, _ = run(capsys, *args, "--format", "csv")  # the last --format wins
+    csv = out.splitlines()
+    assert code == 0
+    assert csv[0] == "level,lower_bound,converged"
     assert len(csv) == 4
 
 
@@ -135,6 +185,16 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 0 and "PASS" in out
     code, _, err = run(capsys, "verify", "no-such-suite")
     assert code == 2
+
+
+def test_verify_all_small(capsys):
+    code, out, _ = run(
+        capsys, "verify", "all", "--cases", "20", "--atoms", "4", "--level", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["checks"]) == 87 and data["failed"] == 0
 
 
 def test_verify_lamperti_small(capsys):

@@ -210,7 +210,6 @@ def test_norm_sequence_unit_and_monotone():
     k = lp.leavitt(2)
     seq = lp.norm_sequence(rep, lp.unit(k), 3)
     assert [round(v, 12) for v in seq.values] == [1.0, 1.0, 1.0, 1.0]
-    assert seq.stabilized
 
     a = lp.gen_s(k, 1) + lp.gen_t(k, 1)
     seq = lp.norm_sequence(rep, a, 4)
@@ -225,17 +224,16 @@ def test_norm_sequence_degree_zero_constant():
     a = lp.parse_element("s1*t2 + 2*s2*t1", k)
     seq = lp.norm_sequence(rep, a, 4)
     assert max(seq.values) - min(seq.values) < 1e-8
-    assert seq.stabilized
 
 
 def test_norm_sequence_stabilizes_for_mixed_element():
     rep = lp.sequence_rep(2, 3.0)
     k = lp.leavitt(2)
     a = lp.parse_element("s1 + t1", k)
-    seq = lp.norm_sequence(rep, a, 5, stall_eps=0.05)
+    seq = lp.norm_sequence(rep, a, 5)
     vals = seq.values
     assert all(vals[i] <= vals[i + 1] + 1e-10 for i in range(len(vals) - 1))
-    assert abs(vals[-1] - vals[-2]) < 0.05 and seq.stabilized
+    assert abs(vals[-1] - vals[-2]) < 0.05
 
 
 def test_oracle_identity():

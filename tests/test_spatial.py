@@ -18,6 +18,8 @@ from lpcuntz.spatial import (
     matrix_to_json,
     system_from_json,
     system_to_json,
+    unweighted_kernel,
+    weighted_to_unweighted,
 )
 
 
@@ -531,3 +533,24 @@ def test_json_round_trips():
     assert np.abs(A.entries - B.entries).max() == 0.0
     space = lp.FiniteMeasureSpace(["a", "b"], [1.5, 2.5])
     assert space_from_json(space_to_json(space)) == space
+
+
+def test_weight_absorption_matches_dense_formula():
+    # the dense D_nu^(1/p) A D_mu^(-1/p) that weighted_to_unweighted used
+    # to compute; the CSR kernel must give the same bits, zeros included
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n, m = (int(k) for k in rng.integers(1, 9, size=2))
+        p = (1.0, 1.5, 2.0, 3.0)[trial % 4]
+        source = lp.FiniteMeasureSpace(range(n), rng.uniform(0.1, 5.0, size=n))
+        target = lp.FiniteMeasureSpace(range(m), rng.uniform(0.1, 5.0, size=m))
+        K = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        K[rng.random((m, n)) < 0.5] = 0.0
+        A = lp.OperatorMatrix(source, target, p, K)
+        left = target.weights ** (1.0 / p)
+        right = source.weights ** (-1.0 / p)
+        dense = (left[:, None] * A.entries) * right[None, :]
+        B = unweighted_kernel(A)
+        assert sparse.issparse(B) and not np.shares_memory(B.data, A.kernel.data)
+        assert B.toarray().tobytes() == dense.tobytes()
+        assert weighted_to_unweighted(A).tobytes() == dense.tobytes()
