@@ -70,7 +70,6 @@ from .pnorm import (
 from .reps import (
     GradedRep,
     SpatialityReport,
-    block_scalar_twist,
     check_relations,
     direct_sum_p,
     dual_rep,

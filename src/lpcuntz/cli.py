@@ -152,6 +152,8 @@ def cmd_eval(args) -> int:
 
 
 def _norm_sequence(rep, element, args):
+    if args.restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     return norm_sequence(rep, element, args.nmax, restarts=args.restarts, seed=args.seed)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import qmc
 
 from .spatial import (
     OperatorMatrix,
@@ -198,7 +197,7 @@ def power_estimate(A: OperatorMatrix, restarts: int = 20, seed: int = 0) -> Norm
             e[i] = 1.0
             starts.append(e)
         rng = np.random.default_rng(seed)
-        while len(starts) < max(restarts, 1):
+        while len(starts) < restarts:
             starts.append(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
@@ -226,6 +225,10 @@ def oracle_grid(
     in up to ``rounds`` passes that each restart the search step.
     Deterministic for a given seed.  ``iterations`` counts compass
     iterations summed over the starts."""
+    # imported here, not at module level: scipy.stats loads most of
+    # scipy and a second OpenBLAS, which no other code path needs
+    from scipy.stats import qmc
+
     p = A.p
     B = weighted_to_unweighted(A)
     n = B.shape[1]

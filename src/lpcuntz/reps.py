@@ -375,27 +375,6 @@ def twist_by_invertible(rep: GradedRep, u) -> GradedRep:
     return out
 
 
-def block_scalar_twist(rep_sum: GradedRep, scalars, components):
-    """Twist a direct sum by a diagonal of scalars, one per summand.
-
-    ``components`` are the summands of ``rep_sum`` (needed to size the
-    blocks per level).  Reproduces e.g. s_j (+) (1/2) s_j.
-    """
-    scalars = [complex(c) for c in scalars]
-    if len(scalars) != len(components):
-        raise ValueError("one scalar per summand")
-
-    def u_of(level):
-        blocks = [
-            c * np.eye(len(r.space(level))) for c, r in zip(scalars, components)
-        ]
-        from scipy.linalg import block_diag
-
-        return block_diag(*blocks)
-
-    return twist_by_invertible(rep_sum, u_of)
-
-
 # -- evaluation -----------------------------------------------------------
 
 

@@ -2,7 +2,10 @@
 JSON output."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,10 @@ def test_usage_error_exit_code():
         ("lamperti", "--tol", "-1", "no-such-dir/missing.json"),
         ("lamperti", "--tol", "-0.5", "no-such-dir/missing.json"),
         ("lamperti", "--tol", "-1e-9", "no-such-dir/missing.json"),
+        ("norm", "--restarts", "0", "s1"),
+        ("norm", "--restarts", "-1", "s1"),
+        ("compare-reps", "--rep", "sequence", "--restarts", "0", "s1"),
+        ("compare-reps", "--rep", "sequence", "--restarts", "-1", "s1"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
@@ -72,6 +79,52 @@ def test_negative_tol_message(capsys, tol):
     # checked before the file is read; argparse alone takes -1e-9 for a flag
     code, _, err = run(capsys, "lamperti", "--tol", tol, "no-such-dir/missing.json")
     assert code == 2 and err.startswith("error: --tol must be nonnegative")
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    lpcuntz; returns its stdout."""
+    src = str(Path(lp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+_LOADED_SCIPY = """
+import json, sys
+print(json.dumps({
+    "stats": sorted(m for m in sys.modules if m.startswith("scipy.stats")),
+    "subpackages": sorted(
+        name for name, module in sys.modules.items()
+        if name.startswith("scipy.") and name.count(".") == 1
+        and not name[6:].startswith("_") and hasattr(module, "__path__")
+    ),
+}))
+"""
+
+
+def test_import_loads_only_scipy_sparse():
+    loaded = json.loads(_run_fresh("import lpcuntz, lpcuntz.cli" + _LOADED_SCIPY))
+    assert loaded == {"stats": [], "subpackages": ["scipy.sparse"]}
+
+
+def test_oracle_imports_scipy_stats_on_first_call():
+    loaded = json.loads(_run_fresh(
+        "import numpy as np\n"
+        "import lpcuntz as lp\n"
+        "kernel = np.array([[1.0, 2.0], [0.0, -1.0]])\n"
+        "space = lp.FiniteMeasureSpace(range(2), [1.0, 2.0])\n"
+        "A = lp.OperatorMatrix(space, space, 3.0, kernel)\n"
+        "res = lp.oracle_grid(A, samples=256)\n"
+        "ref = lp.power_estimate(A)\n"
+        "assert 0.0 < res.certified_lower <= ref.estimate * (1 + 1e-9), (res, ref)\n"
+        "assert res.certified_lower >= ref.estimate * (1 - 1e-3), (res, ref)\n"
+        + _LOADED_SCIPY
+    ))
+    assert loaded["stats"] and "scipy.stats" in loaded["stats"]
 
 
 @pytest.mark.parametrize(

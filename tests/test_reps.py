@@ -7,7 +7,6 @@ from scipy import sparse
 
 import lpcuntz as lp
 from lpcuntz.leavitt import QC
-from lpcuntz.reps import block_scalar_twist
 
 K2 = lp.leavitt(2)
 
@@ -351,7 +350,13 @@ def test_twist_by_invertible_identity_and_scalar():
 def test_block_scalar_twist_sum_mult_flags():
     seq = lp.sequence_rep(2, 3.0)
     ds = lp.direct_sum_p([seq, seq])
-    pi = block_scalar_twist(ds, [1.0, 0.5], [seq, seq])
+
+    def u_of(level):
+        # the diagonal 1 (+) 1/2 on V_level (+) V_level twists s_j to s_j (+) (1/2) s_j
+        size = len(seq.space(level))
+        return np.diag(np.repeat(np.array([1.0, 0.5], dtype=complex), size))
+
+    pi = lp.twist_by_invertible(ds, u_of)
     assert pi.u_condition == pytest.approx(2.0)
     for j in (1, 2):
         op = pi.generator_operator("s", j, 2)
