@@ -32,7 +32,8 @@ seq = lp.norm_sequence(sequence, a, 5)
 for level, res in zip(seq.levels, seq.results):
     print(f"  level {level}: {res.estimate:.10f}")
 step = seq.values[-1] - seq.values[-2]
-print(f"  nondecreasing up to rounding; last two levels differ by {step:.1e}")
+print(f"  nondecreasing by construction (each level also starts from the lifted")
+print(f"  witness of the level below); last two levels differ by {step:.1e}")
 
 print("\ndegree-0 elements: the norm is exact from level 2 on and agrees")
 print("with the plain matrix p-norm of the coefficient table,")

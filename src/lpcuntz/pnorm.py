@@ -11,10 +11,14 @@ partial isometries and everything the spatiality report forms from
 them.  Exponent 2 is otherwise the largest singular value of the dense
 kernel.  Otherwise the estimate is a
 Boyd-type fixed-point iteration with the dual-exponent phase map
-x -> |x|^(p-1) * phase(x), globally convergent from a positive start
-for entrywise-nonnegative kernels and run with multistart otherwise;
-all starts iterate together as the columns of one block, on the CSR
-kernel above SPARSE_MIN_SIZE entries and on a dense copy below.  A
+x -> |x|^(p-1) * phase(x).  It is globally convergent from the
+all-ones start for entrywise-nonnegative kernels, which run it alone
+and in real arithmetic; every other kernel runs it in complex
+arithmetic from multistart, plus an optional caller-given start (the
+lifted previous witness in norm_sequence).  All starts iterate
+together as the columns of one block, on the CSR kernel above
+SPARSE_MIN_SIZE entries and on a dense copy below, and each iteration
+takes one magnitude and one masked power per side of the kernel.  A
 sampling oracle with compass-search ascent, which never uses the Boyd
 map, covers small source dimensions.  Every returned value is a
 certified lower bound: the witness reproduces it.
@@ -37,7 +41,10 @@ from .spatial import (
 
 ORACLE_MAX_DIM = 8
 # Boyd runs on CSR above this many kernel entries and dense at or below
-# it: CSR matvecs lose ~4x up to 64 x 32 and win ~27x at 1024 x 512.
+# it.  On the ladder kernels (~3 nonzeros per column) a CSR iteration
+# costs 0.8-1.5x the dense one up to 256 x 128 and ~0.25x at
+# 1024 x 512, both for a block of 20 complex starts and for one real
+# start; the crossover lies between 64 x 32 and 256 x 128.
 SPARSE_MIN_SIZE = 2**14
 # Boyd's relative stopping tolerance and iteration cap per start
 BOYD_TOL = 1e-12
@@ -76,8 +83,12 @@ def _phase_power(y: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def _column_norms(X: np.ndarray, p: float) -> np.ndarray:
-    return np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
+def _masked_power(mags: np.ndarray, exponent: float) -> np.ndarray:
+    """mags^exponent where mags > 1e-150 and 0 elsewhere, so that a
+    negative exponent never meets an exact or underflowing zero."""
+    out = np.zeros(mags.shape)
+    np.power(mags, exponent, out=out, where=mags > 1e-150)
+    return out
 
 
 def _boyd_block(B, p, X0, tol, max_iter):
@@ -85,20 +96,26 @@ def _boyd_block(B, p, X0, tol, max_iter):
 
     Each column follows the single-start recurrence and its stopping
     rules (duality pairing, stall, max_iter) and leaves the block when
-    it stops.  A zero image or a zero next iterate needs no test of its
-    own: both come with z = 0, which the pairing rule (0 <= 0) stops.
-    Returns per-column arrays (gamma, x, iterations, converged), where
-    x is the column's best iterate.
+    it stops.  The arithmetic is real when B and X0 are, else complex.
+    Each iteration takes one magnitude per side, M = |Y| for Y = B X and
+    |Z| for Z = B^H (W Y), and two masked powers, W = M^(p-2) and
+    U = S^(q-2) with S = |Z| / max|Z|; then gamma^p = sum W M^2,
+    ||Z||_q = max|Z| (sum U S^2)^(1/q), the next iterate is U Z / max|Z|
+    and its p-norm is (sum U S^2)^(1/p).  A zero image or a zero next
+    iterate needs no test of its own: both come with z = 0, which the
+    pairing rule (0 <= 0) stops.  Returns per-column arrays (gamma, x,
+    iterations, converged), where x is the column's best iterate.
     """
     q = conjugate_exponent(p)
     BH = B.conj().T
     if sparse.issparse(BH):
         BH = BH.tocsr()
-    X = np.array(X0, dtype=complex)
-    nx = _column_norms(X, p)
+    X0 = np.asarray(X0)
+    X = np.array(X0, dtype=np.result_type(B.dtype, X0.dtype, float))
+    nx = np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
     if np.any(nx == 0):
         raise ValueError("zero start vector")
-    X = X / nx
+    X /= nx
     k = X.shape[1]
     gammas, best_x = np.zeros(k), X.copy()
     iterations, converged = np.full(k, max_iter), np.zeros(k, dtype=bool)
@@ -106,23 +123,36 @@ def _boyd_block(B, p, X0, tol, max_iter):
     gamma_prev = np.full(k, -1.0)
     for it in range(1, max_iter + 1):
         Y = B @ X
-        gamma = _column_norms(Y, p)
+        M = np.abs(Y)
+        W = _masked_power(M, p - 2.0)
+        Y *= W
+        M *= M
+        M *= W
+        gamma = M.sum(axis=0) ** (1.0 / p)
         better = gamma > gammas[live]
         gammas[live[better]] = gamma[better]
         best_x[:, live[better]] = X[:, better]
-        Z = BH @ _phase_power(Y, p - 1.0)
-        znorm = _column_norms(Z, q)
+        Z = BH @ Y
+        S = np.abs(Z)
+        zmax = np.maximum(S.max(axis=0), 1e-300)
+        S /= zmax
+        U = _masked_power(S, q - 2.0)
+        S *= S
+        S *= U
+        sq = S.sum(axis=0)
+        znorm = zmax * sq ** (1.0 / q)
         pairing = np.real(np.sum(Z.conj() * X, axis=0))
         stall = np.abs(gamma - gamma_prev) <= tol * gamma
         stop = (znorm <= pairing * (1.0 + tol)) | stall
-        Xn = _phase_power(Z / np.maximum(np.abs(Z).max(axis=0), 1e-300), q - 1.0)
-        nx = _column_norms(Xn, p)
         iterations[live[stop]] = it
         converged[live[stop]] = True
-        go = ~stop
-        live, X, gamma_prev = live[go], Xn[:, go] / nx[go], gamma[go]
-        if live.size == 0:
-            break
+        if stop.any():
+            go = ~stop
+            live, gamma, zmax, sq, U, Z = live[go], gamma[go], zmax[go], sq[go], U[:, go], Z[:, go]
+            if live.size == 0:
+                break
+        U /= zmax * sq ** (1.0 / p)
+        X, gamma_prev = U * Z, gamma
     return gammas, best_x, iterations, converged
 
 
@@ -166,8 +196,16 @@ def _finish(A: OperatorMatrix, x_unweighted, method, iterations, converged):
     return NormResult(value, value, x, method, iterations, converged)
 
 
-def power_estimate(A: OperatorMatrix, restarts: int = 20, seed: int = 0) -> NormResult:
-    """Best lower bound for the weighted p -> p norm of A."""
+def power_estimate(
+    A: OperatorMatrix, restarts: int = 20, seed: int = 0, start=None
+) -> NormResult:
+    """Best lower bound for the weighted p -> p norm of A.
+
+    ``start``, a vector in the weighted source coordinates of A (those
+    of ``NormResult.witness``), is one extra Boyd start next to the
+    ``restarts`` cold starts of a kernel with a complex or negative
+    entry.  A nonnegative kernel keeps its single all-ones start and
+    runs in real arithmetic."""
     p = A.p
     B = unweighted_kernel(A)
     n = B.shape[1]
@@ -190,8 +228,11 @@ def power_estimate(A: OperatorMatrix, restarts: int = 20, seed: int = 0) -> Norm
         return _finish(A, vh[0].conj(), "svd", 0, True)
 
     nonnegative = bool(not np.any(B.data.imag)) and bool(np.all(B.data.real >= 0))
-    starts = [np.ones(n, dtype=complex)]
-    if not nonnegative:
+    if nonnegative:
+        B.data = np.ascontiguousarray(B.data.real)  # drops the complex copy
+        starts = [np.ones(n)]
+    else:
+        starts = [np.ones(n, dtype=complex)]
         for i in range(min(n, 4)):
             e = np.zeros(n, dtype=complex)
             e[i] = 1.0
@@ -201,6 +242,8 @@ def power_estimate(A: OperatorMatrix, restarts: int = 20, seed: int = 0) -> Norm
             starts.append(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
+        if start is not None and np.any(start):
+            starts.append(start * A.source.weights ** (1.0 / p))
     if B.shape[0] * n <= SPARSE_MIN_SIZE:
         B = B.toarray()
     gammas, xs, iterations, converged = _boyd_block(
@@ -338,9 +381,15 @@ class NormSequence:
 
 def norm_sequence(rep, a, n_max: int, restarts: int = 20, seed: int = 0) -> NormSequence:
     """Per-level norm lower bounds for a graded representation, from the
-    element's t-depth to n_max.  They are nondecreasing in the level and
-    converge upward to the norm in the completed algebra, so every value
-    is a certified lower bound for that norm; a small step between two
+    element's t-depth to n_max.  Each level above the first passes
+    power_estimate the previous level's witness, lifted through the
+    isometric inclusion V_(N-1) -> V_N that the represented element
+    leaves invariant, as an extra start.  That start already attains
+    the previous value, so the values are nondecreasing in the level by
+    construction, up to rounding (a nonnegative kernel ignores it: Boyd
+    converges to its norm from the all-ones start).  They converge
+    upward to the norm in the completed algebra, so every value is a
+    certified lower bound for that norm; a small step between two
     levels certifies nothing about the distance to it."""
     from .reps import evaluate
 
@@ -348,7 +397,9 @@ def norm_sequence(rep, a, n_max: int, restarts: int = 20, seed: int = 0) -> Norm
     if lo > n_max:
         raise ValueError(f"level range [{lo}, {n_max}] is empty")
     levels = tuple(range(lo, n_max + 1))
-    results = tuple(
-        power_estimate(evaluate(rep, a, level), restarts=restarts, seed=seed) for level in levels
-    )
-    return NormSequence(levels=levels, results=results)
+    results = []
+    for level in levels:
+        lifted = rep.inclusion(level - 1) @ results[-1].witness if results else None
+        A = evaluate(rep, a, level)
+        results.append(power_estimate(A, restarts=restarts, seed=seed, start=lifted))
+    return NormSequence(levels=levels, results=tuple(results))

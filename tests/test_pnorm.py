@@ -448,3 +448,49 @@ def test_rank_one_sums_are_exact(kernel, p, seed):
     )
     method = lp.power_estimate(wider, restarts=8, seed=seed).method
     assert (method == "svd") if p == 2.0 else method.startswith("boyd-")
+
+
+def test_real_and_complex_boyd_agree_on_nonnegative_kernels():
+    # empty rows give exact zeros in B x, where p < 2 takes a negative
+    # power, and empty columns give exact zeros in B^H y, where q < 2 does
+    from lpcuntz.pnorm import _boyd_block
+
+    rng = np.random.default_rng(12)
+    for trial in range(8):
+        m, n = int(rng.integers(4, 24)), int(rng.integers(3, 16))
+        K = rng.uniform(0.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.4)
+        K[int(rng.integers(m))] = 0.0
+        K[:, -1] = 0.0
+        X0 = np.concatenate([np.ones((n, 1)), rng.uniform(0.1, 1.0, (n, 4)), np.eye(n)[:, -1:]], axis=1)
+        for p in (1.25, 1.5, 3.0, 4.5):
+            for held in (K, sparse.csr_matrix(K)):
+                real = _boyd_block(held, p, X0, 1e-12, 600)
+                cplx = _boyd_block(held.astype(complex), p, X0.astype(complex), 1e-12, 600)
+                assert real[1].dtype == np.float64 and cplx[1].dtype == np.complex128
+                assert list(real[2]) == list(cplx[2])
+                assert list(real[3]) == list(cplx[3])
+                assert real[0] == pytest.approx(cplx[0], rel=1e-13, abs=0)
+                assert not np.isnan(real[0]).any() and not np.isnan(real[1]).any()
+                assert real[0][-1] == 0.0  # the start in the empty column
+
+
+def test_norm_sequence_is_monotone_through_the_lifted_start():
+    # seeded ladders whose cold multistart values drop by up to 2e-7
+    # relative (p = 3) and 1.7e-3 (p = 1.5) from one level to the next
+    from lpcuntz.cli import rep_from_descriptor
+    from lpcuntz.sampling import random_element
+
+    kind = lp.leavitt(2)
+    for p, index in ((3.0, 18), (3.0, 22), (1.5, 23)):
+        rng = np.random.default_rng([2026, index])
+        a = random_element(rng, kind, max_terms=4, max_len=2)
+        while len(a.terms) < 2:
+            a = random_element(rng, kind, max_terms=4, max_len=2)
+        rep = rep_from_descriptor(("fourier:sequence", "fourier:interval")[index % 2], 2, p)
+        lo = a.t_depth()
+        seq = lp.norm_sequence(rep, a, lo + 5, restarts=20, seed=index)
+        values = seq.values
+        for level, value in zip(seq.levels, values):
+            cold = lp.power_estimate(lp.evaluate(rep, a, level), restarts=20, seed=index)
+            assert value >= cold.estimate * (1 - 1e-12)
+        assert all(values[i + 1] >= values[i] * (1 - 1e-12) for i in range(len(values) - 1))
