@@ -27,6 +27,7 @@ from .reps import (
     free_rep,
     interval_rep,
     sequence_rep,
+    spatial_condition,
     spatiality_report,
     tensor_identity,
 )
@@ -157,18 +158,14 @@ def _norm_sequence(rep, element, args):
     return norm_sequence(rep, element, args.nmax, restarts=args.restarts, seed=args.seed)
 
 
-def _norm_rows(rep, element, args):
-    seq = _norm_sequence(rep, element, args)
-    return [
-        {"level": level, "lower_bound": res.estimate, "converged": res.converged}
-        for level, res in zip(seq.levels, seq.results)
-    ]
-
-
 def cmd_norm(args) -> int:
     element = parse_element(args.element, leavitt(args.d))
     rep = rep_from_descriptor(args.rep, args.d, float(args.p))
-    rows = _norm_rows(rep, element, args)
+    seq = _norm_sequence(rep, element, args)
+    rows = [
+        {"level": level, "lower_bound": res.estimate, "converged": res.converged}
+        for level, res in zip(seq.levels, seq.results)
+    ]
     payload = {
         "element": args.element,
         "p": args.p,
@@ -182,15 +179,6 @@ def cmd_norm(args) -> int:
         + ("" if r["converged"] else "  (not converged)")
         for r in rows
     ]
-    if args.rep2:
-        rep2 = rep_from_descriptor(args.rep2, args.d, float(args.p))
-        rows2 = _norm_rows(rep2, element, args)
-        payload["rep2"] = args.rep2
-        payload["levels2"] = rows2
-        diff = abs(rows[-1]["lower_bound"] - rows2[-1]["lower_bound"])
-        payload["final_difference"] = diff
-        lines.append(f"{args.rep2} final: {rows2[-1]['lower_bound']:.12g}")
-        lines.append(f"final difference: {diff:.3g}")
     csv_lines = ["level,lower_bound,converged"]
     csv_lines += [f"{r['level']},{r['lower_bound']!r},{r['converged']}" for r in rows]
     _emit(args, payload, lines, csv_text="\n".join(csv_lines))
@@ -285,21 +273,27 @@ def cmd_report_spatiality(args) -> int:
 
 
 def cmd_compare_reps(args) -> int:
+    # every spatial model at exponent p gives the same norm (Phillips), so
+    # the largest value of those profiles is a certified lower bound for it
     element = parse_element(args.element, leavitt(args.d))
-    rows = []
+    p = float(args.p)
+    rows, best = [], None
     lines = [f"norm profile of {args.element!r} at p = {args.p}"]
     for descriptor in args.reps:
-        rep = rep_from_descriptor(descriptor, args.d, float(args.p))
+        rep = rep_from_descriptor(descriptor, args.d, p)
         seq = _norm_sequence(rep, element, args)
-        rows.append(
-            {
-                "rep": descriptor,
-                "levels": list(seq.levels),
-                "lower_bounds": [r.estimate for r in seq.results],
-            }
-        )
-        lines.append(f"  {descriptor:24s} final {seq.results[-1].estimate:.10g}")
-    payload = {"element": args.element, "p": args.p, "profiles": rows}
+        spatial = spatial_condition(rep, 2).value  # report-spatiality's default level
+        rows.append({"rep": descriptor, "p": rep.p, "spatial": spatial,
+                     "levels": list(seq.levels), "lower_bounds": seq.values})
+        for level, value in zip(seq.levels, seq.values):
+            if spatial and rep.p == p and (best is None or value > best["value"]):
+                best = {"value": value, "rep": descriptor, "level": level}
+        shown = "undecided" if spatial is None else spatial
+        lines.append(f"  {descriptor:24s} final {seq.values[-1]:.10g}"
+                     f"  (p = {rep.p:g}, spatial: {shown})")
+    lines.append("lower bound: none" if best is None else
+                 f"lower bound: {best['value']:.10g} ({best['rep']}, level {best['level']})")
+    payload = {"element": args.element, "p": args.p, "profiles": rows, "lower_bound": best}
     _emit(args, payload, pretty_lines=lines)
     return 0
 
@@ -358,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "norm", "per-level norm lower bounds",
         ["d", "p", "nmax", "seed", "restarts", "rep"], formats=("pretty", "json", "csv"),
     )
-    p_norm.add_argument("--rep2", default=None)
     p_norm.add_argument("element")
     p_norm.set_defaults(func=cmd_norm)
 
@@ -415,7 +408,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, OverflowError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

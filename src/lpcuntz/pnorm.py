@@ -13,15 +13,15 @@ kernel.  Otherwise the estimate is a
 Boyd-type fixed-point iteration with the dual-exponent phase map
 x -> |x|^(p-1) * phase(x).  It is globally convergent from the
 all-ones start for entrywise-nonnegative kernels, which run it alone
-and in real arithmetic; every other kernel runs it in complex
-arithmetic from multistart, plus an optional caller-given start (the
-lifted previous witness in norm_sequence).  All starts iterate
-together as the columns of one block, on the CSR kernel above
-SPARSE_MIN_SIZE entries and on a dense copy below, and each iteration
-takes one magnitude and one masked power per side of the kernel.  A
-sampling oracle with compass-search ascent, which never uses the Boyd
-map, covers small source dimensions.  Every returned value is a
-certified lower bound: the witness reproduces it.
+in real arithmetic and take an optional caller-given start (the lifted
+previous witness in norm_sequence) as it stands; every other kernel
+runs it in complex arithmetic from multistart plus that start.  All
+starts iterate together as the columns of one block, on the CSR kernel
+above SPARSE_MIN_SIZE entries and on a dense copy below, and each
+iteration takes one magnitude and one masked power per side of the
+kernel.  A sampling oracle with compass-search ascent, which never
+uses the Boyd map, covers small source dimensions.  Every returned
+value is a certified lower bound: the witness reproduces it.
 """
 
 from __future__ import annotations
@@ -204,8 +204,9 @@ def power_estimate(
     ``start``, a vector in the weighted source coordinates of A (those
     of ``NormResult.witness``), is one extra Boyd start next to the
     ``restarts`` cold starts of a kernel with a complex or negative
-    entry.  A nonnegative kernel keeps its single all-ones start and
-    runs in real arithmetic."""
+    entry.  A nonnegative kernel keeps its single all-ones start, runs
+    in real arithmetic, and takes |start| as it stands when that beats
+    Boyd's best."""
     p = A.p
     B = unweighted_kernel(A)
     n = B.shape[1]
@@ -251,6 +252,11 @@ def power_estimate(
     )
     best = int(np.argmax(gammas))
     x = xs[:, best] if gammas[best] > 0.0 else np.ones(n, dtype=complex)
+    if nonnegative and start is not None:
+        # one matvec: Boyd's stopping rules may end the all-ones start below it
+        lifted = np.abs(start) * A.source.weights ** (1.0 / p)
+        if lp_norm(B @ lifted, p) > gammas[best] * lp_norm(lifted, p):
+            x = lifted
     method = "boyd-nonnegative" if nonnegative else "boyd-multistart"
     return _finish(A, x, method, int(iterations.sum()), bool(converged.all()))
 
@@ -386,11 +392,11 @@ def norm_sequence(rep, a, n_max: int, restarts: int = 20, seed: int = 0) -> Norm
     isometric inclusion V_(N-1) -> V_N that the represented element
     leaves invariant, as an extra start.  That start already attains
     the previous value, so the values are nondecreasing in the level by
-    construction, up to rounding (a nonnegative kernel ignores it: Boyd
-    converges to its norm from the all-ones start).  They converge
-    upward to the norm in the completed algebra, so every value is a
-    certified lower bound for that norm; a small step between two
-    levels certifies nothing about the distance to it."""
+    construction, up to rounding (a nonnegative kernel takes |start|
+    without Boyd iterations).  They converge upward to the norm in the
+    completed algebra, so every value is a certified lower bound for
+    that norm; a small step between two levels certifies nothing about
+    the distance to it."""
     from .reps import evaluate
 
     lo = a.t_depth()

@@ -611,6 +611,26 @@ def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
     return c
 
 
+def spatial_condition(rep: GradedRep, level: int, s_ops=None) -> Condition:
+    """The detector must accept each s_j on V_level (from ``s_ops``, if
+    given) as a spatial isometry, and the reverse of its system must be
+    t_j.  A failure at p = 2 is undecided: the detector's rejection is
+    not a proof there."""
+    for j in rep.generators:
+        s = rep.generator_operator("s", j, level) if s_ops is None else s_ops[j]
+        gap = _reverse_law_gap(rep, s, j, level)
+        if gap is None:
+            witness = {"generator": f"s_{j}", "reason": "not a spatial isometry"}
+        elif gap > 1e-9:
+            witness = {"generator": f"t_{j}", "reason": "reverse law fails"}
+        else:
+            continue
+        if rep.p == 2.0:
+            return Condition(None, note="not decidable by detector at p = 2")
+        return Condition(False, note="detector + reverse law", witness=witness)
+    return Condition(True, note=("p = 2: " if rep.p == 2.0 else "") + "detector + reverse law")
+
+
 def spatiality_report(
     rep: GradedRep, depth: int = 2, seed: int = 0, samples: int = 50
 ) -> SpatialityReport:
@@ -619,12 +639,8 @@ def spatiality_report(
     Norm conditions are tested on a seeded grid of coefficient vectors;
     the strong-forward-isometry test normalizes each s_lambda by its
     largest column ratio before the isometry test (sampling is
-    declared in the notes, not hidden).  Spatiality is decided the same
-    way at every p: the detector must accept each s_j as a spatial
-    isometry and the reverse of its system must equal t_j.  At p = 2 a
-    pass still certifies spatiality, but a failure does not rule it out
-    (the detector's rejection is not a proof there), so it is reported
-    as undecided.
+    declared in the notes, not hidden).  Spatiality is
+    ``spatial_condition``.
     """
     from .pnorm import lp_norm, power_estimate
 
@@ -711,25 +727,7 @@ def spatiality_report(
             break
     conditions["disjoint"] = Condition(disjoint_value, witness=disjoint_witness)
 
-    # spatial: detector plus reverse law
-    spatial = Condition(True, note="detector + reverse law")
-    for j in rep.generators:
-        gap = _reverse_law_gap(rep, s_ops[j], j, level)
-        if gap is None:
-            witness = {"generator": f"s_{j}", "reason": "not a spatial isometry"}
-        elif gap > 1e-9:
-            witness = {"generator": f"t_{j}", "reason": "reverse law fails"}
-        else:
-            continue
-        spatial = Condition(False, note=spatial.note, witness=witness)
-        break
-    if p == 2.0:
-        spatial = (
-            Condition(True, note="p = 2: detector + reverse law")
-            if spatial.value
-            else Condition(None, note="not decidable by detector at p = 2")
-        )
-    conditions["spatial"] = spatial
+    conditions["spatial"] = spatial_condition(rep, level, s_ops)
     conditions["p_standard_s"] = Condition(ps_value, witness=ps_witness)
 
     # p-standard on span(t_1..t_d), against the conjugate exponent

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, exit codes, and deterministic
 JSON output."""
 
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -67,6 +69,9 @@ def test_usage_error_exit_code():
         ("norm", "--restarts", "-1", "s1"),
         ("compare-reps", "--rep", "sequence", "--restarts", "0", "s1"),
         ("compare-reps", "--rep", "sequence", "--restarts", "-1", "s1"),
+        # a space of 2^63 atoms or more fails before anything is allocated
+        ("eval", "-d", "2", "--level", "63", "s1"),
+        ("eval", "-d", "2", "--level", "64", "s1"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
@@ -146,6 +151,7 @@ def test_oracle_imports_scipy_stats_on_first_call():
         ("verify", "skew-table", "--restarts", "3"),
         ("lamperti", "--seed", "1", "matrix.json"),
         ("lamperti", "-d", "2", "matrix.json"),
+        ("norm", "--rep2", "sequence", "s1"),
     ],
 )
 def test_flag_without_reader_exit_code(capsys, argv):
@@ -164,6 +170,32 @@ def test_readme_examples_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_flag_table_matches_parser():
+    # every row of the README flag table lists exactly the flags its
+    # subcommands take, besides --format and --out, which all take
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    parser = build_parser()
+    subparsers = next(
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    seen = set()
+    for row in table.splitlines():
+        names, flags = row.strip("|").split("|", 1)
+        listed = {"--format", "--out"} | {
+            token.split()[0] for token in re.findall(r"`([^`]*)`", flags) if token.startswith("-")
+        }
+        for name in re.findall(r"`([^`]*)`", names):
+            sub = subparsers[name]
+            taken = {action for action in sub._actions if action.option_strings} - {
+                sub._option_string_actions["-h"]
+            }
+            assert {sub._option_string_actions.get(flag) for flag in listed} == taken, name
+            seen.add(name)
+    assert seen == set(subparsers)
 
 
 @pytest.mark.parametrize(
@@ -223,14 +255,17 @@ def test_norm_csv_and_determinism(capsys):
     assert len(csv) == 4
 
 
-def test_norm_rep2_degree_zero_agreement(capsys):
+def test_compare_reps_degree_zero_agreement(capsys):
+    # the norm of a degree-0 element is the same in both models at every level
     code, out, _ = run(
-        capsys, "norm", "--rep", "interval", "--rep2", "sequence", "-d", "2",
+        capsys, "compare-reps", "--rep", "interval", "--rep", "sequence", "-d", "2",
         "--p", "3", "--nmax", "3", "--format", "json", "s1*t2 + s2*t1",
     )
     assert code == 0
-    data = json.loads(out)
-    assert data["final_difference"] < 1e-6
+    interval, sequence = json.loads(out)["profiles"]
+    assert interval["levels"] == sequence["levels"] == [1, 2, 3]
+    for a, b in zip(interval["lower_bounds"], sequence["lower_bounds"]):
+        assert abs(a - b) < 1e-6
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -311,6 +346,43 @@ def test_compare_reps_command(capsys):
     data = json.loads(out)
     finals = [prof["lower_bounds"][-1] for prof in data["profiles"]]
     assert abs(finals[0] - finals[1]) < 1e-6
+
+
+def test_compare_reps_spatial_lower_bound(capsys):
+    reps = ("interval", "sequence", "fourier:sequence", "dual:interval")
+
+    def compare(p, *descriptors):
+        argv = ["compare-reps", "-d", "2", "--p", p, "--nmax", "4", "--format", "json"]
+        for descriptor in descriptors:
+            argv += ["--rep", descriptor]
+        code, out, _ = run(capsys, *argv, "s1 + t1")
+        assert code == 0
+        return out
+
+    out = compare("3", *reps)
+    assert compare("3", *reps) == out  # byte-identical for identical config
+    data = json.loads(out)
+    # e_1 is fixed by both s1 and t1, so sequence attains the norm at level 1
+    assert data["lower_bound"] == {"value": 2.0, "rep": "sequence", "level": 1}
+    profiles = {prof["rep"]: prof for prof in data["profiles"]}
+    assert profiles["fourier:sequence"]["spatial"] is False
+    # the dual model runs at the conjugate exponent and never counts
+    assert profiles["dual:interval"]["p"] == 1.5
+    for p in ("3", "2"):
+        for descriptor in reps:
+            code, out, _ = run(
+                capsys, "report-spatiality", "-d", "2", "--p", p, "--rep", descriptor,
+                "--format", "json",
+            )
+            spatial = json.loads(out)["conditions"]["spatial"]["value"]
+            profile = json.loads(compare(p, descriptor))["profiles"][0]
+            assert profile["spatial"] is spatial
+    data = json.loads(compare("2", "fourier:sequence"))
+    assert data["profiles"][0]["spatial"] is None and data["lower_bound"] is None
+    assert json.loads(compare("3", "fourier:sequence", "fourier:interval"))["lower_bound"] is None
+    # a spatial dual at the conjugate exponent still gives no bound at p
+    data = json.loads(compare("3", "dual:interval"))
+    assert data["profiles"][0]["spatial"] is True and data["lower_bound"] is None
 
 
 def test_descriptor_parser():

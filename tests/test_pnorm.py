@@ -481,12 +481,20 @@ def test_norm_sequence_is_monotone_through_the_lifted_start():
     from lpcuntz.sampling import random_element
 
     kind = lp.leavitt(2)
+    cases = []
     for p, index in ((3.0, 18), (3.0, 22), (1.5, 23)):
         rng = np.random.default_rng([2026, index])
         a = random_element(rng, kind, max_terms=4, max_len=2)
         while len(a.terms) < 2:
             a = random_element(rng, kind, max_terms=4, max_len=2)
         rep = rep_from_descriptor(("fourier:sequence", "fourier:interval")[index % 2], 2, p)
+        cases.append((rep, a, index))
+    # nonnegative kernels, whose all-ones start Boyd's stopping rules end
+    # up to 2.6e-12 relative below the level before
+    sequence = lp.sequence_rep(2, 3.0)
+    for text in ("s1 + t1", "s1*t2 + s2*t1 + t1*t2"):
+        cases.append((sequence, lp.parse_element(text, kind), 7))
+    for rep, a, index in cases:
         lo = a.t_depth()
         seq = lp.norm_sequence(rep, a, lo + 5, restarts=20, seed=index)
         values = seq.values
