@@ -23,8 +23,6 @@ class FiniteMeasureSpace:
 
     def __init__(self, atoms, weights):
         atoms = list(atoms)
-        if hasattr(weights, "get"):
-            weights = [weights[a] for a in atoms]
         weights = [float(w) for w in weights]
         if len(weights) != len(atoms):
             raise ValueError("one weight per atom required")
@@ -57,9 +55,6 @@ class FiniteMeasureSpace:
 
     def weight(self, atom) -> float:
         return float(self.weights[self._index[atom]])
-
-    def measure(self, atoms) -> float:
-        return float(sum(self.weight(a) for a in atoms))
 
     def subspace(self, atoms) -> "FiniteMeasureSpace":
         atoms = set(atoms)
@@ -116,11 +111,6 @@ class AtomFunction:
 
     def __call__(self, atom) -> complex:
         return complex(self.values[self.space.index(atom)])
-
-    def support(self) -> tuple:
-        return tuple(
-            a for a, v in zip(self.space.atoms, self.values) if v != 0
-        )
 
     def __eq__(self, other):
         if not isinstance(other, AtomFunction):
@@ -215,17 +205,9 @@ def pushforward_function(S: SetTransformation, xi: AtomFunction) -> AtomFunction
     return AtomFunction(S.target, values)
 
 
-def pullback_measure(S: SetTransformation, lam) -> dict:
+def pullback_measure(S: SetTransformation, lam: dict) -> dict:
     """S^* lambda on source atoms: the lambda-mass of each block."""
-    if hasattr(lam, "get"):
-        get = lam.get
-    else:
-        lam = AtomFunction(S.target, lam)
-        get = lambda y, default=0.0: lam(y).real
-    out = {}
-    for a in S.source.atoms:
-        out[a] = float(sum(get(y, 0.0) for y in S.blocks[a]))
-    return out
+    return {a: float(sum(lam.get(y, 0.0) for y in S.blocks[a])) for a in S.source.atoms}
 
 
 def pushforward_measure(S: SetTransformation, mu=None) -> dict:

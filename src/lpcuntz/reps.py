@@ -2,8 +2,11 @@
 finite truncation levels.
 
 A GradedRep is a family of nested spaces V_0 subset V_1 subset ... with
-generator actions s_j: V_N -> V_{N+1} and t_j: V_N -> V_{N-1} given by
-closed-form rules, together with the isometric inclusions V_N -> V_{N+1}.
+generator actions s_j: V_N -> V_{N+1} and t_j: V_N -> V_{N-1}, together
+with the isometric inclusions V_N -> V_{N+1}.  The two base models are
+given by their s_j maps; each t_j follows from the reverse law (t_j is
+the reverse of the spatial partial isometry s_j).  Derived models are
+Fourier sums, block sums and Kronecker products of these.
 Evaluation of an algebra element at level N restricts the represented
 operator to V_N; because V_N is invariant under the monomial flow and
 exhausts the space, the truncated norms increase to the true norm.
@@ -86,83 +89,61 @@ _TWIST_CHECK_LEVEL = 2
 _FOURIER_RESIDUAL_TOL = 1e-10
 
 
+def _phased_permutation(value, rows, cols, shape):
+    """CSR matrix with the one constant ``value`` at each (rows[i], cols[i])."""
+    return sparse.csr_matrix(
+        (np.full(len(rows), value, dtype=complex), (rows, cols)), shape=shape
+    )
+
+
+def _base_rep(kind: AlgebraKind, p: float, modulus: float, s_map, space_fn, inclusion_map, label):
+    """A base model given by its s_j maps: s_map(j, N) is the pair of
+    index arrays (rows, cols) where s_j on V_N carries ``modulus``.  By
+    the reverse law, t_j on V_N is the map of s_j on V_{N-1} with rows
+    and columns swapped and modulus 1/modulus."""
+    d = kind.d
+
+    def s_fn(j, level):
+        n = d**level
+        return _phased_permutation(modulus, *s_map(j, level), (d * n, n))
+
+    def t_fn(j, level):
+        m = d ** (level - 1)
+        rows, cols = s_map(j, level - 1)
+        return _phased_permutation(1.0 / modulus, cols, rows, (m, d * m))
+
+    def inclusion_fn(level):
+        n = d**level
+        return _phased_permutation(1.0, *inclusion_map(level), (d * n, n))
+
+    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, label)
+
+
 def interval_rep(d: int, p: float) -> GradedRep:
     """Subdivision picture of L_d: V_N is the space of step functions on
     d^N equal subintervals of [0,1] (atoms of weight d^-N); s_j squeezes
     a function into the j-th subinterval with the isometric factor
     d^(1/p), and t_j stretches that subinterval back out."""
-    kind = leavitt(d)
-    p = float(p)
-    root = d ** (1.0 / p)
-
-    def space_fn(level):
-        return FiniteMeasureSpace(range(d**level), [float(d) ** (-level)] * d**level)
-
-    def s_fn(j, level):
-        n = d**level
-        rows = (j - 1) * n + np.arange(n)
-        return sparse.csr_matrix(
-            (np.full(n, root, dtype=complex), (rows, np.arange(n))),
-            shape=(d * n, n),
-        )
-
-    def t_fn(j, level):
-        n = d**level
-        m = d ** (level - 1)
-        cols = (j - 1) * m + np.arange(m)
-        return sparse.csr_matrix(
-            (np.full(m, 1.0 / root, dtype=complex), (np.arange(m), cols)),
-            shape=(m, n),
-        )
-
-    def inclusion_fn(level):
-        n = d**level
-        rows = np.arange(d * n)
-        cols = np.repeat(np.arange(n), d)
-        return sparse.csr_matrix(
-            (np.ones(d * n, dtype=complex), (rows, cols)), shape=(d * n, n)
-        )
-
-    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"interval(d={d})")
+    return _base_rep(
+        leavitt(d), p, d ** (1.0 / float(p)),
+        lambda j, level: ((j - 1) * d**level + np.arange(d**level), np.arange(d**level)),
+        lambda level: FiniteMeasureSpace(range(d**level), [float(d) ** (-level)] * d**level),
+        lambda level: (np.arange(d ** (level + 1)), np.repeat(np.arange(d**level), d)),
+        f"interval(d={d})",
+    )
 
 
 def sequence_rep(d: int, p: float) -> GradedRep:
     """Coordinate picture of L_d on l^p: s_j sends the n-th basis vector
     to basis vector d(n-1)+j; V_N is the span of the first d^N
     coordinates with counting weights."""
-    kind = leavitt(d)
-    p = float(p)
-
-    def space_fn(level):
-        return FiniteMeasureSpace(range(1, d**level + 1), [1.0] * d**level)
-
-    def s_fn(j, level):
-        n = d**level
-        ns = np.arange(1, n + 1)
-        rows = d * (ns - 1) + j - 1  # 0-based row of atom d(n-1)+j
-        return sparse.csr_matrix(
-            (np.ones(n, dtype=complex), (rows, np.arange(n))), shape=(d * n, n)
-        )
-
-    def t_fn(j, level):
-        n = d**level
-        ns = np.arange(1, n + 1)
-        hits = (ns - j) % d == 0
-        src = ns[hits]
-        rows = (src - j) // d  # 0-based row of atom (n-j)/d + 1
-        return sparse.csr_matrix(
-            (np.ones(len(src), dtype=complex), (rows, src - 1)),
-            shape=(n // d, n),
-        )
-
-    def inclusion_fn(level):
-        n = d**level
-        return sparse.csr_matrix(
-            (np.ones(n, dtype=complex), (np.arange(n), np.arange(n))),
-            shape=(d * n, n),
-        )
-
-    return GradedRep(kind, p, space_fn, s_fn, t_fn, inclusion_fn, f"sequence(d={d})")
+    return _base_rep(
+        leavitt(d), p, 1.0,
+        lambda j, level: (d * np.arange(d**level) + j - 1, np.arange(d**level)),
+        lambda level: FiniteMeasureSpace(range(1, d**level + 1), [1.0] * d**level),
+        lambda level: (np.arange(d**level), np.arange(d**level)),
+        f"sequence(d={d})",
+    )
 
 
 def fourier_twist(rep: GradedRep) -> GradedRep:
@@ -229,27 +210,28 @@ def direct_sum_p(reps) -> GradedRep:
         if r.kind != first.kind or r.p != first.p:
             raise ValueError("direct sum needs matching kind and exponent")
 
-    def space_fn(level):
-        return disjoint_union([r.space(level) for r in reps])
-
-    def s_fn(j, level):
-        return sparse.block_diag(
-            [r.s_matrix(j, level) for r in reps], format="csr"
-        )
-
-    def t_fn(j, level):
-        return sparse.block_diag(
-            [r.t_matrix(j, level) for r in reps], format="csr"
-        )
-
-    def inclusion_fn(level):
-        return sparse.block_diag(
-            [r.inclusion(level) for r in reps], format="csr"
+    def blocks(name):
+        return lambda *key: sparse.block_diag(
+            [getattr(r, name)(*key) for r in reps], format="csr"
         )
 
     label = " (+) ".join(r.label for r in reps)
     return GradedRep(
-        first.kind, first.p, space_fn, s_fn, t_fn, inclusion_fn, f"sum[{label}]"
+        first.kind, first.p, lambda level: disjoint_union([r.space(level) for r in reps]),
+        blocks("s_matrix"), blocks("t_matrix"), blocks("inclusion"), f"sum[{label}]",
+    )
+
+
+def _kron_rep(rep: GradedRep, aux: FiniteMeasureSpace, s_factor, t_factor, label) -> GradedRep:
+    """rep tensored with the auxiliary space: s_j x s_factor, t_j x
+    t_factor, and the inclusions x the identity."""
+    eye = sparse.identity(len(aux), dtype=complex, format="csr")
+    return GradedRep(
+        rep.kind, rep.p, lambda level: product_space(rep.space(level), aux),
+        lambda j, level: sparse.kron(rep.s_matrix(j, level), s_factor, format="csr"),
+        lambda j, level: sparse.kron(rep.t_matrix(j, level), t_factor, format="csr"),
+        lambda level: sparse.kron(rep.inclusion(level), eye, format="csr"),
+        label,
     )
 
 
@@ -259,22 +241,7 @@ def tensor_identity(rep: GradedRep, aux: FiniteMeasureSpace) -> GradedRep:
     if len(aux) < 1:
         raise ValueError("auxiliary space must have at least one atom")
     eye = sparse.identity(len(aux), dtype=complex, format="csr")
-
-    def space_fn(level):
-        return product_space(rep.space(level), aux)
-
-    def s_fn(j, level):
-        return sparse.kron(rep.s_matrix(j, level), eye, format="csr")
-
-    def t_fn(j, level):
-        return sparse.kron(rep.t_matrix(j, level), eye, format="csr")
-
-    def inclusion_fn(level):
-        return sparse.kron(rep.inclusion(level), eye, format="csr")
-
-    return GradedRep(
-        rep.kind, rep.p, space_fn, s_fn, t_fn, inclusion_fn, f"tensor[{rep.label}, {len(aux)}]"
-    )
+    return _kron_rep(rep, aux, eye, eye, f"tensor[{rep.label}, {len(aux)}]")
 
 
 def free_rep(rep: GradedRep, n: int) -> GradedRep:
@@ -284,28 +251,11 @@ def free_rep(rep: GradedRep, n: int) -> GradedRep:
     element a of degree k is represented as rep(a) x shift^k."""
     if n < 1:
         raise ValueError("cycle length must be at least 1")
-    rows = (np.arange(n) + 1) % n
-    shift = sparse.csr_matrix(
-        (np.ones(n, dtype=complex), (rows, np.arange(n))), shape=(n, n)
-    )
-    shift_inv = shift.T.tocsr()
-    eye = sparse.identity(n, dtype=complex, format="csr")
-    zspace = FiniteMeasureSpace(range(n), [1.0] * n)
-
-    def space_fn(level):
-        return product_space(rep.space(level), zspace)
-
-    def s_fn(j, level):
-        return sparse.kron(rep.s_matrix(j, level), shift, format="csr")
-
-    def t_fn(j, level):
-        return sparse.kron(rep.t_matrix(j, level), shift_inv, format="csr")
-
-    def inclusion_fn(level):
-        return sparse.kron(rep.inclusion(level), eye, format="csr")
-
-    return GradedRep(
-        rep.kind, rep.p, space_fn, s_fn, t_fn, inclusion_fn, f"free[{rep.label}, n={n}]"
+    rows, cols = (np.arange(n) + 1) % n, np.arange(n)
+    return _kron_rep(
+        rep, FiniteMeasureSpace(range(n), [1.0] * n), _phased_permutation(1.0, rows, cols, (n, n)),
+        _phased_permutation(1.0, cols, rows, (n, n)),
+        f"free[{rep.label}, n={n}]",
     )
 
 
@@ -487,7 +437,6 @@ def check_relations(rep: GradedRep, max_level: int) -> float:
     kinds, sum_j s_j t_j = 1 on V_N for 1 <= N <= max_level."""
 
     def sparse_max(mat) -> float:
-        mat = sparse.csr_matrix(mat)
         return float(np.abs(mat.data).max(initial=0.0))
 
     worst = 0.0

@@ -121,7 +121,10 @@ def _systems_equivalent(a, b, tol=1e-10) -> bool:
     return all(abs(a.g[y] - b.g[y]) <= tol for y in a.F)
 
 
-def verify_lamperti(atoms=8, cases=200, seed=0, p_values=(1.0, 1.5, 3.0)):
+_LAMPERTI_P_VALUES = (1.0, 1.5, 3.0)
+
+
+def verify_lamperti(atoms=8, cases=200, seed=0):
     rng = np.random.default_rng(seed)
     checks = []
     failures = 0
@@ -131,7 +134,7 @@ def verify_lamperti(atoms=8, cases=200, seed=0, p_values=(1.0, 1.5, 3.0)):
             sys = random_spatial_system(rng, max_atoms=atoms)
         else:
             sys = random_semispatial_system(rng, max_atoms=atoms)
-        p = float(rng.choice(p_values))
+        p = float(rng.choice(_LAMPERTI_P_VALUES))
         A = materialize(sys, p)
         res = detect(A)
         ok = (
@@ -159,7 +162,7 @@ def verify_lamperti(atoms=8, cases=200, seed=0, p_values=(1.0, 1.5, 3.0)):
     # the plane rotation by pi/4 is never of (semi)spatial form
     sq = FiniteMeasureSpace(["a", "b"], [1.0, 1.0])
     c = 2.0 ** -0.5
-    for p in p_values:
+    for p in _LAMPERTI_P_VALUES:
         R = OperatorMatrix(sq, sq, p, np.array([[c, -c], [c, c]]))
         res = detect(R)
         checks.append(
@@ -180,7 +183,8 @@ def verify_lamperti(atoms=8, cases=200, seed=0, p_values=(1.0, 1.5, 3.0)):
 # -- the Fourier-twist table ---------------------------------------------------
 
 
-def verify_skew_table(tol=1e-10):
+def verify_skew_table():
+    tol = 1e-10
     table = fourier_twist_table(2, 3.0, [1, 2])
     checks = [
         _check(
@@ -287,16 +291,17 @@ def verify_symbolic(seed=0):
 # -- spatial norm identities ---------------------------------------------------
 
 
-def verify_spatial_identities(seed=0, d=2, p_values=(1.5, 3.0), vec_cases=200, norm_cases=50):
+def verify_spatial_identities(seed=0):
     rng = np.random.default_rng(seed)
+    d = 2
     checks = []
-    for p in p_values:
+    for p in (1.5, 3.0):
         rep = sequence_rep(d, p)
         level = 3
         s_ops = {j: rep.generator_operator("s", j, level) for j in rep.generators}
         src, tgt = s_ops[1].source, s_ops[1].target
         worst = 0.0
-        for _ in range(vec_cases):
+        for _ in range(200):
             lam = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             xi = rng.standard_normal(len(src)) + 1j * rng.standard_normal(len(src))
             out = sum(complex(lam[j - 1]) * s_ops[j].apply(xi) for j in rep.generators)
@@ -310,7 +315,7 @@ def verify_spatial_identities(seed=0, d=2, p_values=(1.5, 3.0), vec_cases=200, n
         q = p / (p - 1.0)
         t_ops = {j: rep.generator_operator("t", j, level) for j in rep.generators}
         worst = 0.0
-        for _ in range(norm_cases):
+        for _ in range(50):
             gam = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             entries = sum(complex(gam[j - 1]) * t_ops[j].entries for j in rep.generators)
             A = OperatorMatrix(t_ops[1].source, t_ops[1].target, p, entries)
@@ -463,37 +468,43 @@ def verify_measure(seed=0):
     return checks
 
 
+# each suite: the flags among -d, --level, --atoms and --cases that it
+# reads, and its runner; "all" runs every suite and reads every flag
 SUITES = {
-    "relations": lambda args: verify_relations(
+    "relations": (("d", "level", "atoms"), lambda args: verify_relations(
         d_values=(2, 3) if args.d is None else (args.d,),
         max_level=4 if args.level is None else args.level,
         free_n=8 if args.atoms is None else args.atoms,
-    ),
-    "lamperti": lambda args: verify_lamperti(
+    )),
+    "lamperti": (("atoms", "cases"), lambda args: verify_lamperti(
         atoms=8 if args.atoms is None else args.atoms,
         cases=200 if args.cases is None else args.cases,
         seed=args.seed,
-    ),
-    "skew-table": lambda args: verify_skew_table(),
-    "symbolic": lambda args: verify_symbolic(seed=args.seed),
-    "spatial-identities": lambda args: verify_spatial_identities(seed=args.seed),
-    "calculus": lambda args: verify_calculus(
+    )),
+    "skew-table": ((), lambda args: verify_skew_table()),
+    "symbolic": ((), lambda args: verify_symbolic(seed=args.seed)),
+    "spatial-identities": ((), lambda args: verify_spatial_identities(seed=args.seed)),
+    "calculus": (("cases",), lambda args: verify_calculus(
         cases=100 if args.cases is None else args.cases, seed=args.seed
-    ),
-    "measure": lambda args: verify_measure(seed=args.seed),
+    )),
+    "measure": ((), lambda args: verify_measure(seed=args.seed)),
 }
 
 
 def run_suite(name: str, args):
+    """Run the named suite (or "all"); a flag that the suite does not
+    read is a usage error, not a silent no-op."""
     for flag in ("atoms", "cases", "level"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
     if name == "all":
-        checks = []
-        for suite in SUITES.values():
-            checks.extend(suite(args))
-        return checks
-    if name not in SUITES:
+        suites = list(SUITES.values())
+    elif name in SUITES:
+        suites = [SUITES[name]]
+        for flag in ("d", "level", "atoms", "cases"):
+            if getattr(args, flag) is not None and flag not in SUITES[name][0]:
+                raise ValueError(f"suite {name!r} does not read --{flag}")
+    else:
         raise KeyError(name)
-    return SUITES[name](args)
+    return [check for _, run in suites for check in run(args)]

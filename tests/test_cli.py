@@ -275,6 +275,35 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("skew-table", "--cases", "5", "--level", "9", "-d", "3", "--atoms", "2"),
+        ("skew-table", "--cases", "5"),
+        ("symbolic", "--level", "2"),
+        ("measure", "-d", "3"),
+        ("spatial-identities", "--atoms", "2"),
+        ("relations", "--level", "1", "--cases", "3"),
+        ("lamperti", "--cases", "3", "--level", "2"),
+        ("lamperti", "--cases", "3", "-d", "3"),
+        ("calculus", "--cases", "3", "--atoms", "2"),
+    ],
+)
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "does not read" in err
+
+
+def test_verify_accepts_flags_the_suite_reads(capsys):
+    for argv in (
+        ("relations", "-d", "2", "--level", "1", "--atoms", "2"),
+        ("lamperti", "--cases", "3", "--atoms", "4"),
+        ("calculus", "--cases", "3"),
+    ):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and "FAIL" not in out
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run(
         capsys, "verify", "all", "--cases", "20", "--atoms", "4", "--level", "2",

@@ -1,6 +1,8 @@
 """Graded representations: constructors, evaluation, derived
 representations, and the spatiality report."""
 
+import cmath
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -72,6 +74,148 @@ def test_sequence_rep_action():
             lhs = lp.vector_norm(repp.space(3), out, p)
             rhs = lp.lp_norm(lam, p) * lp.vector_norm(repp.space(2), xi, p)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class ClosedFormRep:
+    """Reference generator matrices written out index by index: the s_j,
+    t_j and inclusions of the two base models, and the derived models
+    as Kronecker products, block sums and Fourier sums of them."""
+
+    def __init__(self, s_matrix, t_matrix, inclusion):
+        self.s_matrix, self.t_matrix, self.inclusion = s_matrix, t_matrix, inclusion
+
+
+def _csr(value, rows, cols, shape):
+    return sparse.csr_matrix(
+        (np.full(len(rows), value, dtype=complex), (rows, cols)), shape=shape
+    )
+
+
+def closed_form_interval(d, p):
+    root = d ** (1.0 / p)
+
+    def s(j, level):
+        n = d**level
+        return _csr(root, (j - 1) * n + np.arange(n), np.arange(n), (d * n, n))
+
+    def t(j, level):
+        m = d ** (level - 1)
+        return _csr(1.0 / root, np.arange(m), (j - 1) * m + np.arange(m), (m, d * m))
+
+    def incl(level):
+        n = d**level
+        return _csr(1.0, np.arange(d * n), np.repeat(np.arange(n), d), (d * n, n))
+
+    return ClosedFormRep(s, t, incl)
+
+
+def closed_form_sequence(d):
+    def s(j, level):
+        n = d**level
+        ns = np.arange(1, n + 1)
+        return _csr(1.0, d * (ns - 1) + j - 1, np.arange(n), (d * n, n))
+
+    def t(j, level):
+        n = d**level
+        ns = np.arange(1, n + 1)
+        src = ns[(ns - j) % d == 0]
+        return _csr(1.0, (src - j) // d, src - 1, (n // d, n))
+
+    def incl(level):
+        n = d**level
+        return _csr(1.0, np.arange(n), np.arange(n), (d * n, n))
+
+    return ClosedFormRep(s, t, incl)
+
+
+def closed_form_kron(ref, s_factor, t_factor, n_aux):
+    eye = sparse.identity(n_aux, dtype=complex, format="csr")
+    return ClosedFormRep(
+        lambda j, level: sparse.kron(ref.s_matrix(j, level), s_factor, format="csr"),
+        lambda j, level: sparse.kron(ref.t_matrix(j, level), t_factor, format="csr"),
+        lambda level: sparse.kron(ref.inclusion(level), eye, format="csr"),
+    )
+
+
+def closed_form_fourier(ref, d, p):
+    omega = cmath.exp(2j * cmath.pi / d)
+    cs, ct = d ** (-1.0 / p), d ** (-1.0 / lp.conjugate_exponent(p))
+    return ClosedFormRep(
+        lambda k, level: cs * sum(
+            omega ** (j * k) * ref.s_matrix(j, level) for j in range(1, d + 1)
+        ),
+        lambda k, level: ct * sum(
+            omega ** (-j * k) * ref.t_matrix(j, level) for j in range(1, d + 1)
+        ),
+        ref.inclusion,
+    )
+
+
+def closed_form_sum(refs):
+    def block(get):
+        return lambda *key: sparse.block_diag([get(r)(*key) for r in refs], format="csr")
+
+    return ClosedFormRep(
+        block(lambda r: r.s_matrix), block(lambda r: r.t_matrix), block(lambda r: r.inclusion)
+    )
+
+
+def assert_same_csr(got, ref):
+    assert got.format == ref.format == "csr"
+    assert got.dtype == ref.dtype == np.complex128
+    assert got.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), part
+
+
+def assert_same_generators(rep, ref, d, levels):
+    for level in levels:
+        assert_same_csr(rep.inclusion(level), ref.inclusion(level))
+        for j in range(1, d + 1):
+            assert_same_csr(rep.s_matrix(j, level), ref.s_matrix(j, level))
+            if level >= 1:
+                assert_same_csr(rep.t_matrix(j, level), ref.t_matrix(j, level))
+
+
+def test_base_generators_equal_closed_forms():
+    for d in (2, 3):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert_same_generators(
+                lp.interval_rep(d, p), closed_form_interval(d, p), d, range(7)
+            )
+            assert_same_generators(
+                lp.sequence_rep(d, p), closed_form_sequence(d), d, range(7)
+            )
+
+
+def test_derived_generators_equal_closed_forms():
+    for d in (2, 3):
+        for p in (1.5, 3.0):
+            n = 3
+            shift = _csr(1.0, (np.arange(n) + 1) % n, np.arange(n), (n, n))
+            assert_same_generators(
+                lp.free_rep(lp.sequence_rep(d, p), n),
+                closed_form_kron(closed_form_sequence(d), shift, shift.T.tocsr(), n),
+                d,
+                range(5),
+            )
+            eye = sparse.identity(2, dtype=complex, format="csr")
+            aux = lp.FiniteMeasureSpace(["u", "v"], [1.0, 2.0])
+            assert_same_generators(
+                lp.tensor_identity(lp.interval_rep(d, p), aux),
+                closed_form_kron(closed_form_interval(d, p), eye, eye, 2),
+                d,
+                range(5),
+            )
+            intv = closed_form_interval(d, p)
+            assert_same_generators(
+                lp.direct_sum_p(
+                    [lp.interval_rep(d, p), lp.fourier_twist(lp.interval_rep(d, p))]
+                ),
+                closed_form_sum([intv, closed_form_fourier(intv, d, p)]),
+                d,
+                range(5),
+            )
 
 
 def test_relation_residuals_small_grid():
