@@ -30,6 +30,7 @@ from .measure import FiniteMeasureSpace, disjoint_union, product_space
 from .spatial import (
     OperatorMatrix,
     Rejection,
+    checked_exponent,
     classify_idempotent,
     conjugate_exponent,
     detect,
@@ -55,7 +56,7 @@ class GradedRep:
         label: str,
     ):
         self.kind = kind
-        self.p = float(p)
+        self.p = checked_exponent(p)
         self.label = label
         self.space = lru_cache(maxsize=None)(space_fn)
         self.s_matrix = lru_cache(maxsize=None)(s_fn)
@@ -124,8 +125,9 @@ def interval_rep(d: int, p: float) -> GradedRep:
     d^N equal subintervals of [0,1] (atoms of weight d^-N); s_j squeezes
     a function into the j-th subinterval with the isometric factor
     d^(1/p), and t_j stretches that subinterval back out."""
+    p = checked_exponent(p)
     return _base_rep(
-        leavitt(d), p, d ** (1.0 / float(p)),
+        leavitt(d), p, d ** (1.0 / p),
         lambda j, level: ((j - 1) * d**level + np.arange(d**level), np.arange(d**level)),
         lambda level: FiniteMeasureSpace(range(d**level), [float(d) ** (-level)] * d**level),
         lambda level: (np.arange(d ** (level + 1)), np.repeat(np.arange(d**level), d)),
@@ -580,37 +582,55 @@ def spatial_condition(rep: GradedRep, level: int, s_ops=None) -> Condition:
     return Condition(True, note=("p = 2: " if rep.p == 2.0 else "") + "detector + reverse law")
 
 
+def _first_failure(cases, witness) -> dict:
+    """The first nonempty ``witness(case)``, trying no case after it; else {}."""
+    return next(filter(None, map(witness, cases)), {})
+
+
 def spatiality_report(
     rep: GradedRep, depth: int = 2, seed: int = 0, samples: int = 50
 ) -> SpatialityReport:
     """Decide the representation-class conditions at a truncation level.
 
-    Norm conditions are tested on a seeded grid of coefficient vectors;
-    the strong-forward-isometry test normalizes each s_lambda by its
-    largest column ratio before the isometry test (sampling is
-    declared in the notes, not hidden).  Spatiality is
-    ``spatial_condition``.
+    The norm and isometry conditions share one seeded list of coefficient
+    vectors: the standard basis e_1..e_d first, then (1, ..., d), then
+    ``samples`` random vectors (sampling is declared in the notes, not
+    hidden).  At lambda = e_j, s_lambda is s_j and t_lambda is t_j, so
+    the generator conditions read the basis entries.  Each s_lambda,
+    t_lambda, norm estimate and isometry scale is computed once, when a
+    condition first needs it, and each condition names its first failure
+    in scan order.  Spatiality is ``spatial_condition``.
     """
     from .pnorm import lp_norm, power_estimate
 
     p = rep.p
-    q = conjugate_exponent(p)
     d = rep.kind.d
+    gens = rep.generators
     level = max(1, depth)
     rng = np.random.default_rng(seed)
+    ops = {fam: {j: rep.generator_operator(fam, j, level) for j in gens} for fam in "st"}
+    s_ops = ops["s"]
+    lams = [*np.eye(d), np.arange(1, d + 1).astype(complex)]
+    lams += [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(samples)]
+
+    @lru_cache(maxsize=None)
+    def combination(fam: str, i: int) -> OperatorMatrix:
+        """s_lambda or t_lambda = sum_j lambda_j op_j at lambda = lams[i]."""
+        kernel = sum(complex(lams[i][j - 1]) * op.kernel for j, op in ops[fam].items())
+        return OperatorMatrix(ops[fam][1].source, ops[fam][1].target, p, kernel)
+
+    @lru_cache(maxsize=None)
+    def norm(fam: str, i: int) -> float:
+        return power_estimate(combination(fam, i), restarts=8, seed=seed).estimate
+
+    @lru_cache(maxsize=None)
+    def scale(i: int) -> float | None:
+        return _isometry_scale(combination("s", i), _REPORT_NORM_TOL)
+
     conditions: dict = {}
-
-    s_ops = {j: rep.generator_operator("s", j, level) for j in rep.generators}
-    t_ops = {j: rep.generator_operator("t", j, level) for j in rep.generators}
-
-    # contractive on generators; the witness is the first generator in
-    # the order s_1, t_1, s_2, ... within 1e-12 relative of the largest
-    # norm, so that rounding does not decide between equal norms
-    norms = {
-        f"{fam}_{j}": power_estimate(op, restarts=8, seed=seed).estimate
-        for j in rep.generators
-        for fam, op in (("s", s_ops[j]), ("t", t_ops[j]))
-    }
+    # contractive on generators; the witness is the first of s_1, t_1, s_2, ...
+    # within 1e-12 relative of the largest norm, so rounding does not break ties
+    norms = {f"{fam}_{j}": norm(fam, j - 1) for j in gens for fam in "st"}
     largest = max(norms.values())
     named = next(name for name, est in norms.items() if est >= largest * (1.0 - 1e-12))
     conditions["contractive_on_generators"] = Condition(
@@ -619,142 +639,88 @@ def spatiality_report(
         witness={"generator": named, "norm": largest},
     )
 
-    # forward isometric
-    fi_value, fi_witness = True, {}
-    for j in rep.generators:
-        c = _isometry_scale(s_ops[j], _REPORT_NORM_TOL)
-        if c is None or abs(c - 1.0) > _REPORT_NORM_TOL:
-            fi_value, fi_witness = False, {"generator": f"s_{j}"}
-            break
-    conditions["forward_isometric"] = Condition(fi_value, witness=fi_witness)
+    fi = _first_failure(range(d), lambda i: (
+        scale(i) is None or abs(scale(i) - 1.0) > _REPORT_NORM_TOL
+    ) and {"generator": f"s_{i + 1}"})
+    conditions["forward_isometric"] = Condition(not fi, witness=fi)
 
-    # one pass over the coefficient vectors builds each s_lambda once for
-    # strong forward isometry (s_lambda a scalar multiple of an isometry)
-    # and for p-standardness on span(s_1..s_d)
-    lams = [np.eye(d)[:, i] for i in range(d)]
-    lams.append(np.arange(1, d + 1).astype(complex))
-    for _ in range(samples):
-        lams.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    sfi_value, sfi_witness = fi_value, dict(fi_witness)
-    ps_value, ps_witness = True, {}
-    for lam in lams:
-        if not (sfi_value or ps_value):
-            break
-        A = _combination(s_ops, lam)
-        if sfi_value and _isometry_scale(A, _REPORT_NORM_TOL) is None:
-            sfi_value = False
-            sfi_witness = {"lambda": [str(z) for z in lam]}
-        if ps_value:
-            est = power_estimate(A, restarts=8, seed=seed).estimate
-            expected = lp_norm(lam, p)
-            if abs(est - expected) > _REPORT_NORM_TOL * max(1.0, expected):
-                ps_value = False
-                ps_witness = {"lambda": [str(z) for z in lam], "norm": est, "expected": expected}
+    # strong forward isometry: each s_lambda is a multiple of an isometry
+    sfi = dict(fi) or _first_failure(
+        range(len(lams)), lambda i: scale(i) is None and {"lambda": [str(z) for z in lams[i]]}
+    )
     conditions["strongly_forward_isometric"] = Condition(
-        sfi_value,
-        note=f"standard basis plus {samples} seeded samples",
-        witness=sfi_witness,
+        not sfi, note=f"standard basis plus {samples} seeded samples", witness=sfi
     )
 
     # disjoint ranges
     supports = {}
-    disjoint_value, disjoint_witness = True, {}
-    for j in rep.generators:
-        K = s_ops[j].kernel
-        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        rows = set(rows[np.abs(K.data) > 1e-12])
-        for k, other in supports.items():
-            if rows & other:
-                disjoint_value = False
-                disjoint_witness = {
-                    "generators": [f"s_{k}", f"s_{j}"],
-                    "coordinate": str(min(rows & other)),
-                }
-                break
-        supports[j] = rows
-        if not disjoint_value:
-            break
-    conditions["disjoint"] = Condition(disjoint_value, witness=disjoint_witness)
+    for j, op in s_ops.items():
+        rows = np.repeat(np.arange(op.kernel.shape[0]), np.diff(op.kernel.indptr))
+        supports[j] = set(rows[np.abs(op.kernel.data) > 1e-12])
 
+    def shared_row(kj):
+        shared = supports[kj[0]] & supports[kj[1]]
+        return shared and {"generators": [f"s_{k}" for k in kj], "coordinate": str(min(shared))}
+
+    overlap = _first_failure(((k, j) for j in gens for k in gens[: j - 1]), shared_row)
+    conditions["disjoint"] = Condition(not overlap, witness=overlap)
     conditions["spatial"] = spatial_condition(rep, level, s_ops)
-    conditions["p_standard_s"] = Condition(ps_value, witness=ps_witness)
 
-    # p-standard on span(t_1..t_d), against the conjugate exponent
-    pt_value, pt_witness = True, {}
-    for lam in lams[: d + 1 + samples // 2]:
-        est = power_estimate(_combination(t_ops, lam), restarts=8, seed=seed).estimate
-        expected = lp_norm(lam, q)
-        if abs(est - expected) > _REPORT_NORM_TOL * max(1.0, expected):
-            pt_value = False
-            pt_witness = {"gamma": [str(z) for z in lam], "norm": est, "expected": expected}
-            break
-    conditions["p_standard_t"] = Condition(pt_value, witness=pt_witness)
+    # p-standard: span(s_1..s_d) at p, span(t_1..t_d) at q on a shorter prefix
+    for fam, exponent, count, key in (
+        ("s", p, len(lams), "lambda"),
+        ("t", conjugate_exponent(p), d + 1 + samples // 2, "gamma"),
+    ):
+        def off(i):
+            est, expected = norm(fam, i), lp_norm(lams[i], exponent)
+            if abs(est - expected) > _REPORT_NORM_TOL * max(1.0, expected):
+                return {key: [str(z) for z in lams[i]], "norm": est, "expected": expected}
 
-    # row isometry
-    row_value, row_witness = True, {}
+        ps = _first_failure(range(count), off)
+        conditions[f"p_standard_{fam}"] = Condition(not ps, witness=ps)
+
+    # row isometry, on random rows drawn one at a time
     n_in = len(s_ops[1].source)
-    for _ in range(max(8, samples // 2)):
+
+    def row_gap(_):
         xis = rng.standard_normal((d, n_in)) + 1j * rng.standard_normal((d, n_in))
-        out = sum(s_ops[j].apply(xis[j - 1]) for j in rep.generators)
+        out = sum(s_ops[j].apply(xis[j - 1]) for j in gens)
         lhs = vector_norm(s_ops[1].target, out, p) ** p
-        rhs = sum(vector_norm(s_ops[1].source, xis[j - 1], p) ** p for j in rep.generators)
+        rhs = sum(vector_norm(s_ops[1].source, xis[j - 1], p) ** p for j in gens)
         if abs(lhs - rhs) > 1e-10 * max(1.0, rhs):
-            row_value = False
-            row_witness = {"lhs": lhs, "rhs": rhs}
-            break
-    conditions["row_isometry"] = Condition(row_value, witness=row_witness)
+            return {"lhs": lhs, "rhs": rhs}
 
-    # spatial restriction to the matrix-unit subalgebra
-    md_value, md_witness = True, {}
-    diag_supports = []
-    for j in rep.generators:
-        ejj = evaluate(rep, monomial(rep.kind, (j,), (j,)), level)
-        res = classify_idempotent(ejj, tol=1e-9)
-        if isinstance(res, Rejection):
-            md_value = False
-            md_witness = {"unit": f"e_{j}{j}", "reason": res.reason}
-            break
-        diag_supports.append(set(res))
-    if md_value:
-        all_atoms = set(rep.space(level).atoms)
-        union = set().union(*diag_supports) if diag_supports else set()
-        if union != all_atoms or any(
-            diag_supports[i] & diag_supports[j]
-            for i in range(len(diag_supports))
-            for j in range(i + 1, len(diag_supports))
-        ):
-            md_value = False
-            md_witness = {"reason": "diagonal supports do not partition the space"}
-    if md_value:
-        for j in rep.generators:
-            for k in rep.generators:
-                ejk = evaluate(rep, monomial(rep.kind, (j,), (k,)), level)
-                est = power_estimate(ejk, restarts=4, seed=seed).estimate
-                if est > 1.0 + _REPORT_NORM_TOL:
-                    md_value = False
-                    md_witness = {"unit": f"e_{j}{k}", "norm": est}
-                    break
-            if not md_value:
-                break
-    conditions["md_restriction_spatial"] = Condition(
-        md_value, note="diagonal multiplication test", witness=md_witness
-    )
+    row = _first_failure(range(max(8, samples // 2)), row_gap)
+    conditions["row_isometry"] = Condition(not row, witness=row)
 
-    violations = _audit(conditions)
-    return SpatialityReport(
-        label=rep.label,
-        p=p,
-        depth=depth,
-        seed=seed,
-        conditions=conditions,
-        violations=tuple(violations),
-    )
+    # spatial restriction to the matrix-unit subalgebra: the diagonal
+    # units must be idempotents whose supports partition the space, and
+    # only then is each e_jk tested for contractivity
+    def unit(j, k) -> OperatorMatrix:
+        return evaluate(rep, monomial(rep.kind, (j,), (k,)), level)
 
+    def unit_gap(jk):
+        est = power_estimate(unit(*jk), restarts=4, seed=seed).estimate
+        if est > 1.0 + _REPORT_NORM_TOL:
+            return {"unit": "e_{}{}".format(*jk), "norm": est}
 
-def _combination(ops: dict, lam) -> OperatorMatrix:
-    """sum_j lam_j op_j over the generator operators ops = {j: op_j}."""
-    kernel = sum(complex(lam[j - 1]) * op.kernel for j, op in ops.items())
-    return OperatorMatrix(ops[1].source, ops[1].target, ops[1].p, kernel)
+    def md_witness() -> dict:
+        diagonal = []
+        for j in gens:
+            res = classify_idempotent(unit(j, j), tol=1e-9)
+            if isinstance(res, Rejection):
+                return {"unit": f"e_{j}{j}", "reason": res.reason}
+            diagonal.extend(res)
+        atoms = rep.space(level).atoms
+        if len(diagonal) != len(atoms) or set(diagonal) != set(atoms):
+            return {"reason": "diagonal supports do not partition the space"}
+        return _first_failure(((j, k) for j in gens for k in gens), unit_gap)
+
+    md = md_witness()
+    note = "diagonal multiplication test"
+    conditions["md_restriction_spatial"] = Condition(not md, note=note, witness=md)
+    violations = tuple(_audit(conditions))
+    return SpatialityReport(rep.label, p, depth, seed, conditions, violations)
 
 
 _IMPLICATIONS = [

@@ -40,6 +40,14 @@ DETECT_TOL = 1e-9
 MATRIX_TOL = 1e-12
 
 
+def checked_exponent(p) -> float:
+    """p as a float; a ValueError unless 1 <= p < inf."""
+    p = float(p)
+    if not (1 <= p < np.inf):
+        raise ValueError("exponent p must lie in [1, inf)")
+    return p
+
+
 class OperatorMatrix:
     """Complex matrix between two weighted l^p spaces (target x source).
 
@@ -53,9 +61,7 @@ class OperatorMatrix:
     __slots__ = ("source", "target", "p", "kernel", "_dense")
 
     def __init__(self, source: FiniteMeasureSpace, target: FiniteMeasureSpace, p, entries):
-        p = float(p)
-        if not (1 <= p < np.inf):
-            raise ValueError("exponent p must lie in [1, inf)")
+        p = checked_exponent(p)
         if sparse.issparse(entries) or np.ndim(entries) != 2:
             kernel = sparse.csr_array(entries, dtype=complex, copy=True)
             kernel.sum_duplicates()
@@ -233,9 +239,7 @@ def identity_system(space: FiniteMeasureSpace) -> SpatialSystem:
 
 def materialize(sys: SpatialSystem, p) -> OperatorMatrix:
     """The (semi)spatial partial isometry of the system at exponent p."""
-    p = float(p)
-    if not (1 <= p < np.inf):
-        raise ValueError("exponent p must lie in [1, inf)")
+    p = checked_exponent(p)
     h = rn_derivative(sys.transform)
     rows, cols, values = [], [], []
     for x in sys.E:

@@ -13,6 +13,7 @@ from lpcuntz.spatial import Rejection
 from lpcuntz.verify import (
     verify_calculus,
     verify_relations,
+    verify_skew_table,
     verify_symbolic,
 )
 
@@ -44,9 +45,10 @@ def dyadic(z, scale=4096):
 
 def test_c01_fourier_twist_table():
     with Budget(1.0):
-        table = lp.fourier_twist_table(2, 3.0, [1, 2])
-        assert abs(table["lambda_norm_p"] - 9.0) < 1e-10
-        assert abs(table["twisted_norm_p"] - 14.0) < 1e-10
+        checks = verify_skew_table()  # the 9/14 table and both operator norms
+        bad = [c for c in checks if not c.ok]
+        assert len(checks) == 4
+        assert not bad, bad
     print("CRITERION 1 (Fourier-twist table 9/14): PASS")
 
 

@@ -72,6 +72,11 @@ def test_usage_error_exit_code():
         # a space of 2^63 atoms or more fails before anything is allocated
         ("eval", "-d", "2", "--level", "63", "s1"),
         ("eval", "-d", "2", "--level", "64", "s1"),
+        # an exponent of 0 is rejected before any arithmetic divides by it
+        ("norm", "--rep", "interval", "-p", "0", "s1"),
+        ("eval", "--rep", "interval", "-p", "0", "1"),
+        ("compare-reps", "--rep", "interval", "-p", "0", "s1"),
+        ("report-spatiality", "--rep", "fourier:sequence", "-p", "0"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv):

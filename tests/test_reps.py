@@ -687,6 +687,125 @@ def test_contractivity_witness_names_first_generator_on_ties():
     assert cond.witness == {"generator": "s_2", "norm": pytest.approx(2.0, rel=1e-14)}
 
 
+def _hand_built_reps():
+    """Sequence-model variants that reach report branches no descriptor
+    reaches, each with its non-true conditions {name: (value, witness)}
+    and its audit violations."""
+    seq = lp.sequence_rep(2, 3.0)
+    scale = {1: 1.0, 2: 2.0}
+    scaled = lp.GradedRep(
+        seq.kind, 3.0, seq.space,
+        lambda j, level: scale[j] * seq.s_matrix(j, level),
+        lambda j, level: seq.t_matrix(j, level) / scale[j],
+        seq.inclusion, "scaled",
+    )
+    t1_doubled = lp.GradedRep(
+        seq.kind, 3.0, seq.space, seq.s_matrix,
+        lambda j, level: (2.0 if j == 1 else 1.0) * seq.t_matrix(j, level),
+        seq.inclusion, "t1-doubled",
+    )
+    # a Cohn-kind rep with s_2 := s_1 and t_2 := t_1: t_j s_k = 1 for all
+    # j, k breaks no relation the report checks, yet the ranges coincide
+    collapsed = lp.GradedRep(
+        lp.cohn(2), 3.0, seq.space,
+        lambda j, level: seq.s_matrix(1, level),
+        lambda j, level: seq.t_matrix(1, level),
+        seq.inclusion, "collapsed",
+    )
+    approx = pytest.approx
+    return {
+        "scaled": (scaled, {
+            "contractive_on_generators": (False, {"generator": "s_2", "norm": approx(2.0)}),
+            "forward_isometric": (False, {"generator": "s_2"}),
+            "strongly_forward_isometric": (False, {"generator": "s_2"}),
+            "spatial": (False, {"generator": "s_2", "reason": "not a spatial isometry"}),
+            "p_standard_s": (
+                False, {"lambda": ["0.0", "1.0"], "norm": approx(2.0), "expected": approx(1.0)}
+            ),
+            "p_standard_t": (
+                False, {"gamma": ["0.0", "1.0"], "norm": approx(0.5), "expected": approx(1.0)}
+            ),
+            "row_isometry": (
+                False, {"lhs": approx(41.27632073627039), "rhs": approx(9.112525929884285)}
+            ),
+            "md_restriction_spatial": (False, {"unit": "e_21", "norm": approx(2.0)}),
+        }, ()),
+        "t1-doubled": (t1_doubled, {
+            "contractive_on_generators": (False, {"generator": "t_1", "norm": approx(2.0)}),
+            "spatial": (False, {"generator": "t_1", "reason": "reverse law fails"}),
+            "p_standard_t": (
+                False, {"gamma": ["1.0", "0.0"], "norm": approx(2.0), "expected": approx(1.0)}
+            ),
+            "md_restriction_spatial": (
+                False, {"unit": "e_11", "reason": "diagonal entry not 0 or 1"}
+            ),
+        }, ()),
+        "collapsed": (collapsed, {
+            "disjoint": (False, {"generators": ["s_1", "s_2"], "coordinate": "0"}),
+            "p_standard_s": (False, {
+                "lambda": ["(1+0j)", "(2+0j)"], "norm": approx(3.0),
+                "expected": approx(2.080083823051904),
+            }),
+            "p_standard_t": (False, {
+                "gamma": ["(1+0j)", "(2+0j)"], "norm": approx(3.0),
+                "expected": approx(2.4472608147714756),
+            }),
+            "row_isometry": (
+                False, {"lhs": approx(13.18491317036074), "rhs": approx(9.112525929884285)}
+            ),
+            "md_restriction_spatial": (
+                False, {"reason": "diagonal supports do not partition the space"}
+            ),
+        }, tuple(
+            f"spatial does not imply {name}"
+            for name in (
+                "disjoint", "p_standard_s", "p_standard_t", "row_isometry",
+                "md_restriction_spatial",
+            )
+        )),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hand_built_reps()))
+def test_report_branches_on_hand_built_reps(name):
+    rep, expected, violations = _hand_built_reps()[name]
+    report = lp.spatiality_report(rep, depth=2, seed=0, samples=4)
+    failing = {
+        key: (cond.value, cond.witness)
+        for key, cond in report.conditions.items()
+        if cond.value is not True
+    }
+    assert failing == expected
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize(
+    "make_rep, calls",
+    [
+        (lambda: lp.interval_rep(2, 3.0), 16),
+        (lambda: lp.sequence_rep(3, 3.0), 23),
+        (lambda: lp.fourier_twist(lp.interval_rep(2, 3.0)), 6),
+    ],
+    ids=["interval", "sequence-d3", "fourier-interval"],
+)
+def test_report_norm_estimates_are_not_repeated(monkeypatch, make_rep, calls):
+    # the generator norms are the report's norms at lambda = e_j, so
+    # contractivity costs no estimate of its own
+    import lpcuntz.pnorm
+
+    rep = make_rep()
+    seen = []
+    estimate = lpcuntz.pnorm.power_estimate
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(lpcuntz.pnorm, "power_estimate", counted)
+    lp.spatiality_report(rep, depth=2, seed=0, samples=4)
+    assert len(seen) == calls
+
+
 def _p2_reps():
     intv = lp.interval_rep(2, 2.0)
     seq = lp.sequence_rep(2, 2.0)
