@@ -13,15 +13,19 @@ kernel.  Otherwise the estimate is a
 Boyd-type fixed-point iteration with the dual-exponent phase map
 x -> |x|^(p-1) * phase(x).  It is globally convergent from the
 all-ones start for entrywise-nonnegative kernels, which run it alone
-in real arithmetic and take an optional caller-given start (the lifted
-previous witness in norm_sequence) as it stands; every other kernel
-runs it in complex arithmetic from multistart plus that start.  All
-starts iterate together as the columns of one block, on the CSR kernel
-above SPARSE_MIN_SIZE entries and on a dense copy below, and each
-iteration takes one magnitude and one masked power per side of the
-kernel.  A sampling oracle with compass-search ascent, which never
-uses the Boyd map, covers small source dimensions.  Every returned
-value is a certified lower bound: the witness reproduces it.
+on one real vector, where every image stays nonnegative and the phase
+map is a plain positive power, and take an optional caller-given start
+(the lifted previous witness in norm_sequence) as it stands.  Every
+other kernel runs it in complex arithmetic from multistart plus that
+start: all starts iterate together as the columns of one block, and
+each iteration takes one magnitude and one masked power per side of
+the kernel.  Both loops run on the CSR kernel above SPARSE_MIN_SIZE
+entries and on a dense copy below, and divide each vector by its
+largest modulus before a power, as lp_norm and the exact tests do, so
+a large entry or a large p cannot overflow a sum to inf.  A sampling
+oracle with compass-search ascent, which never uses the Boyd map,
+covers small source dimensions.  Every returned value is a certified
+lower bound: the witness reproduces it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from scipy import sparse
 from .spatial import (
     OperatorMatrix,
     conjugate_exponent,
+    lp_norm,
     unweighted_kernel,
     vector_norm,
     weighted_to_unweighted,
@@ -42,9 +47,12 @@ from .spatial import (
 ORACLE_MAX_DIM = 8
 # Boyd runs on CSR above this many kernel entries and dense at or below
 # it.  On the ladder kernels (~3 nonzeros per column) a CSR iteration
-# costs 0.8-1.5x the dense one up to 256 x 128 and ~0.25x at
-# 1024 x 512, both for a block of 20 complex starts and for one real
-# start; the crossover lies between 64 x 32 and 256 x 128.
+# of a block of 20 complex starts costs 0.8-1.5x the dense one up to
+# 256 x 128 and ~0.25x at 1024 x 512.  For the one real start of a
+# nonnegative kernel a whole solve costs 1.2-1.4x dense on CSR up to
+# 128 x 128 and 1.0-1.2x at 256 x 128 (4.3-4.6 against 3.7-4.5 ms),
+# but 0.8x at 256 x 256 (2.5-2.6 against 3.2-3.3 ms), so its crossover
+# lies between 2^15 and 2^16 entries.
 SPARSE_MIN_SIZE = 2**14
 # Boyd's relative stopping tolerance and iteration cap per start
 BOYD_TOL = 1e-12
@@ -59,13 +67,6 @@ class NormResult:
     method: str
     iterations: int
     converged: bool
-
-
-def lp_norm(x, p: float) -> float:
-    x = np.asarray(x)
-    if p == np.inf:
-        return float(np.max(np.abs(x), initial=0.0))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
 def _phase_power(y: np.ndarray, exponent: float) -> np.ndarray:
@@ -96,10 +97,10 @@ def _boyd_block(B, p, X0, tol, max_iter):
 
     Each column follows the single-start recurrence and its stopping
     rules (duality pairing, stall, max_iter) and leaves the block when
-    it stops.  The arithmetic is real when B and X0 are, else complex.
-    Each iteration takes one magnitude per side, M = |Y| for Y = B X and
-    |Z| for Z = B^H (W Y), and two masked powers, W = M^(p-2) and
-    U = S^(q-2) with S = |Z| / max|Z|; then gamma^p = sum W M^2,
+    it stops.  The arithmetic is complex.  Each iteration takes one
+    magnitude per side, of Y = B X and of Z = B^H (W Y), and two masked
+    powers, W = M^(p-2) with M = |Y| / max|Y| and U = S^(q-2) with
+    S = |Z| / max|Z|, all per column; then gamma = max|Y| (sum W M^2)^(1/p),
     ||Z||_q = max|Z| (sum U S^2)^(1/q), the next iterate is U Z / max|Z|
     and its p-norm is (sum U S^2)^(1/p).  A zero image or a zero next
     iterate needs no test of its own: both come with z = 0, which the
@@ -110,12 +111,11 @@ def _boyd_block(B, p, X0, tol, max_iter):
     BH = B.conj().T
     if sparse.issparse(BH):
         BH = BH.tocsr()
-    X0 = np.asarray(X0)
-    X = np.array(X0, dtype=np.result_type(B.dtype, X0.dtype, float))
-    nx = np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
-    if np.any(nx == 0):
+    X = np.array(X0, dtype=complex)
+    top = np.abs(X).max(axis=0)
+    if np.any(top == 0):
         raise ValueError("zero start vector")
-    X /= nx
+    X /= top * np.sum((np.abs(X) / top) ** p, axis=0) ** (1.0 / p)
     k = X.shape[1]
     gammas, best_x = np.zeros(k), X.copy()
     iterations, converged = np.full(k, max_iter), np.zeros(k, dtype=bool)
@@ -124,17 +124,19 @@ def _boyd_block(B, p, X0, tol, max_iter):
     for it in range(1, max_iter + 1):
         Y = B @ X
         M = np.abs(Y)
+        ymax = M.max(axis=0, initial=1e-300)
+        M /= ymax
         W = _masked_power(M, p - 2.0)
         Y *= W
         M *= M
         M *= W
-        gamma = M.sum(axis=0) ** (1.0 / p)
+        gamma = ymax * M.sum(axis=0) ** (1.0 / p)
         better = gamma > gammas[live]
         gammas[live[better]] = gamma[better]
         best_x[:, live[better]] = X[:, better]
         Z = BH @ Y
         S = np.abs(Z)
-        zmax = np.maximum(S.max(axis=0), 1e-300)
+        zmax = S.max(axis=0, initial=1e-300)
         S /= zmax
         U = _masked_power(S, q - 2.0)
         S *= S
@@ -144,9 +146,9 @@ def _boyd_block(B, p, X0, tol, max_iter):
         pairing = np.real(np.sum(Z.conj() * X, axis=0))
         stall = np.abs(gamma - gamma_prev) <= tol * gamma
         stop = (znorm <= pairing * (1.0 + tol)) | stall
-        iterations[live[stop]] = it
-        converged[live[stop]] = True
         if stop.any():
+            iterations[live[stop]] = it
+            converged[live[stop]] = True
             go = ~stop
             live, gamma, zmax, sq, U, Z = live[go], gamma[go], zmax[go], sq[go], U[:, go], Z[:, go]
             if live.size == 0:
@@ -154,6 +156,39 @@ def _boyd_block(B, p, X0, tol, max_iter):
         U /= zmax * sq ** (1.0 / p)
         X, gamma_prev = U * Z, gamma
     return gammas, best_x, iterations, converged
+
+
+def _boyd_nonnegative(B, p, x, tol, max_iter):
+    """_boyd_block's recurrence for one real start x >= 0 on a kernel
+    B >= 0, on 1-D vectors.  Every image is nonnegative, so both phase
+    maps are positive powers: with s = y / max y for y = B x,
+    gamma = max y (sum s^p)^(1/p) and w = s^(p-1); with t = z / max z
+    for z = B^T w, ||z||_q = max z (sum t^q)^(1/q), and the next iterate
+    is t^(q-1) over its p-norm (sum t^q)^(1/p).  Same stopping rules
+    and best-iterate tracking; returns (gamma, x, iterations,
+    converged) with x the best iterate."""
+    q = conjugate_exponent(p)
+    BT = B.T.tocsr() if sparse.issparse(B) else B.T
+    x = x / lp_norm(x, p)
+    best_gamma, best_x, gamma_prev = 0.0, x, -1.0
+    for it in range(1, max_iter + 1):
+        y = B @ x
+        ymax = y.max(initial=1e-300)
+        s = y / ymax
+        w = s ** (p - 1.0)
+        gamma = ymax * float(w @ s) ** (1.0 / p)
+        if gamma > best_gamma:
+            best_gamma, best_x = gamma, x
+        z = BT @ w
+        zmax = z.max(initial=1e-300)
+        t = z / zmax
+        u = t ** (q - 1.0)
+        sq = float(u @ t)
+        pairing, znorm = float(z @ x), zmax * sq ** (1.0 / q)
+        if znorm <= pairing * (1.0 + tol) or abs(gamma - gamma_prev) <= tol * gamma:
+            return best_gamma, best_x, it, True
+        x, gamma_prev = u / sq ** (1.0 / p), gamma
+    return best_gamma, best_x, max_iter, False
 
 
 def _rank_one_sum_witness(B, p):
@@ -171,13 +206,16 @@ def _rank_one_sum_witness(B, p):
     nz = B.data != 0
     rows, cols, values = rows[nz], B.indices[nz], B.data[nz]
     x = np.zeros(n, dtype=complex)
+    # moduli scaled by their maximum, so the powers cannot overflow
+    scaled = np.abs(values)
+    scaled /= scaled.max()
     if np.bincount(rows, minlength=m).max() <= 1:
-        sums = np.bincount(cols, weights=np.abs(values) ** p, minlength=n)
+        sums = np.bincount(cols, weights=scaled**p, minlength=n)
         x[int(np.argmax(sums))] = 1.0
         return x
     if np.bincount(cols, minlength=n).max() <= 1:
         q = conjugate_exponent(p)
-        sums = np.bincount(rows, weights=np.abs(values) ** q, minlength=m)
+        sums = np.bincount(rows, weights=scaled**q, minlength=m)
         row = rows == int(np.argmax(sums))
         x[cols[row]] = _phase_power(values[row].conj(), q - 1.0)
         return x
@@ -231,34 +269,35 @@ def power_estimate(
     nonnegative = bool(not np.any(B.data.imag)) and bool(np.all(B.data.real >= 0))
     if nonnegative:
         B.data = np.ascontiguousarray(B.data.real)  # drops the complex copy
-        starts = [np.ones(n)]
-    else:
-        starts = [np.ones(n, dtype=complex)]
-        for i in range(min(n, 4)):
-            e = np.zeros(n, dtype=complex)
-            e[i] = 1.0
-            starts.append(e)
-        rng = np.random.default_rng(seed)
-        while len(starts) < restarts:
-            starts.append(
-                rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            )
-        if start is not None and np.any(start):
-            starts.append(start * A.source.weights ** (1.0 / p))
     if B.shape[0] * n <= SPARSE_MIN_SIZE:
         B = B.toarray()
+    if nonnegative:
+        gamma, x, iterations, converged = _boyd_nonnegative(
+            B, p, np.ones(n), BOYD_TOL, BOYD_MAX_ITER
+        )
+        if start is not None:
+            # one matvec: Boyd's stopping rules may end the all-ones start below it
+            lifted = np.abs(start) * A.source.weights ** (1.0 / p)
+            if lp_norm(B @ lifted, p) > gamma * lp_norm(lifted, p):
+                x = lifted
+        return _finish(A, x, "boyd-nonnegative", iterations, converged)
+
+    starts = [np.ones(n, dtype=complex)]
+    for i in range(min(n, 4)):
+        e = np.zeros(n, dtype=complex)
+        e[i] = 1.0
+        starts.append(e)
+    rng = np.random.default_rng(seed)
+    while len(starts) < restarts:
+        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if start is not None and np.any(start):
+        starts.append(start * A.source.weights ** (1.0 / p))
     gammas, xs, iterations, converged = _boyd_block(
         B, p, np.stack(starts, axis=1), BOYD_TOL, BOYD_MAX_ITER
     )
     best = int(np.argmax(gammas))
     x = xs[:, best] if gammas[best] > 0.0 else np.ones(n, dtype=complex)
-    if nonnegative and start is not None:
-        # one matvec: Boyd's stopping rules may end the all-ones start below it
-        lifted = np.abs(start) * A.source.weights ** (1.0 / p)
-        if lp_norm(B @ lifted, p) > gammas[best] * lp_norm(lifted, p):
-            x = lifted
-    method = "boyd-nonnegative" if nonnegative else "boyd-multistart"
-    return _finish(A, x, method, int(iterations.sum()), bool(converged.all()))
+    return _finish(A, x, "boyd-multistart", int(iterations.sum()), bool(converged.all()))
 
 
 def oracle_grid(
@@ -365,11 +404,11 @@ def rank_one_exact(mu_vec, eta_vec, p, source=None, target=None) -> float:
     eta_vec = np.asarray(eta_vec, dtype=complex)
     w_t = np.ones(len(mu_vec)) if target is None else target.weights
     w_s = np.ones(len(eta_vec)) if source is None else source.weights
-    out_norm = float(np.sum(w_t * np.abs(mu_vec) ** p) ** (1.0 / p))
+    out_norm = lp_norm(mu_vec, p, w_t)
     if q == np.inf:
         dual_norm = float(np.max(np.abs(eta_vec) / w_s, initial=0.0))
     else:
-        dual_norm = float(np.sum(w_s ** (1.0 - q) * np.abs(eta_vec) ** q) ** (1.0 / q))
+        dual_norm = lp_norm(eta_vec, q, w_s ** (1.0 - q))
     return out_norm * dual_norm
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import sparse
@@ -613,19 +613,22 @@ def spatiality_report(
     lams = [*np.eye(d), np.arange(1, d + 1).astype(complex)]
     lams += [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(samples)]
 
-    @lru_cache(maxsize=None)
     def combination(fam: str, i: int) -> OperatorMatrix:
         """s_lambda or t_lambda = sum_j lambda_j op_j at lambda = lams[i]."""
         kernel = sum(complex(lams[i][j - 1]) * op.kernel for j, op in ops[fam].items())
         return OperatorMatrix(ops[fam][1].source, ops[fam][1].target, p, kernel)
 
+    # norm and scale both read s_lambda; t_lambda has one reader, norm
+    s_lambda = lru_cache(maxsize=None)(partial(combination, "s"))
+
     @lru_cache(maxsize=None)
     def norm(fam: str, i: int) -> float:
-        return power_estimate(combination(fam, i), restarts=8, seed=seed).estimate
+        op = s_lambda(i) if fam == "s" else combination(fam, i)
+        return power_estimate(op, restarts=8, seed=seed).estimate
 
     @lru_cache(maxsize=None)
     def scale(i: int) -> float | None:
-        return _isometry_scale(combination("s", i), _REPORT_NORM_TOL)
+        return _isometry_scale(s_lambda(i), _REPORT_NORM_TOL)
 
     conditions: dict = {}
     # contractive on generators; the witness is the first of s_1, t_1, s_2, ...

@@ -111,12 +111,23 @@ class OperatorMatrix:
         return f"OperatorMatrix({len(self.target)}x{len(self.source)}, p={self.p:g})"
 
 
+def lp_norm(x, p: float, weights=None) -> float:
+    """(sum weights |x|^p)^(1/p) of a vector, unit weights by default,
+    and max |x| at p = inf.  The moduli are divided by their maximum
+    before the power, so a large entry or a large p cannot overflow the
+    sum to inf."""
+    mags = np.abs(np.asarray(x))
+    top = mags.max(initial=0.0)
+    if p == np.inf or top == 0.0:
+        return float(top)
+    terms = (mags / top) ** p
+    total = terms.sum() if weights is None else weights @ terms
+    return float(top * total ** (1.0 / p))
+
+
 def vector_norm(space: FiniteMeasureSpace, xi, p: float) -> float:
     """Weighted p-norm, ||xi||^p = sum_x mu(x) |xi(x)|^p."""
-    xi = np.asarray(xi, dtype=complex)
-    if p == np.inf:
-        return float(np.max(np.abs(xi), initial=0.0))
-    return float(np.sum(space.weights * np.abs(xi) ** p) ** (1.0 / p))
+    return lp_norm(xi, p, space.weights)
 
 
 def conjugate_exponent(p: float) -> float:

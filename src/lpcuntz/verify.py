@@ -32,7 +32,7 @@ from .measure import (
     pushforward_measure,
     rn_derivative,
 )
-from .pnorm import oracle_grid, power_estimate
+from .pnorm import lp_norm, oracle_grid, power_estimate
 from .reps import (
     check_relations,
     direct_sum_p,
@@ -306,7 +306,7 @@ def verify_spatial_identities(seed=0):
             xi = rng.standard_normal(len(src)) + 1j * rng.standard_normal(len(src))
             out = sum(complex(lam[j - 1]) * s_ops[j].apply(xi) for j in rep.generators)
             lhs = vector_norm(tgt, out, p)
-            rhs = float(np.sum(np.abs(lam) ** p) ** (1 / p)) * vector_norm(src, xi, p)
+            rhs = lp_norm(lam, p) * vector_norm(src, xi, p)
             worst = max(worst, abs(lhs - rhs))
         checks.append(
             _check(f"s-lambda-isometry[p={p:g}]", worst <= 1e-10, worst=worst)
@@ -320,7 +320,7 @@ def verify_spatial_identities(seed=0):
             entries = sum(complex(gam[j - 1]) * t_ops[j].entries for j in rep.generators)
             A = OperatorMatrix(t_ops[1].source, t_ops[1].target, p, entries)
             est = power_estimate(A, restarts=12, seed=seed).estimate
-            expected = float(np.sum(np.abs(gam) ** q) ** (1 / q))
+            expected = lp_norm(gam, q)
             worst = max(worst, abs(est - expected))
         checks.append(
             _check(f"t-gamma-norm[p={p:g}]", worst <= 1e-6, worst=worst)

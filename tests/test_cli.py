@@ -260,6 +260,24 @@ def test_norm_csv_and_determinism(capsys):
     assert len(csv) == 4
 
 
+@pytest.mark.parametrize("rep", ["sequence", "interval"])
+def test_norm_json_at_large_p_is_finite(capsys, rep):
+    # |100|^160 overflows a double: the norm must not print inf, and the
+    # JSON must not hold the invalid constant Infinity
+    def reject(constant):
+        raise ValueError(f"{constant} in norm JSON")
+
+    code, out, _ = run(
+        capsys, "norm", "--rep", rep, "-d", "2", "--p", "160", "--nmax", "2",
+        "--format", "json", "100*s1 + t1",
+    )
+    assert code == 0
+    values = [row["lower_bound"] for row in json.loads(out, parse_constant=reject)["levels"]]
+    assert all(0.0 < v <= 101.0 * (1 + 1e-12) for v in values)
+    if rep == "sequence":
+        assert values == pytest.approx([101.0, 101.0], rel=1e-12)
+
+
 def test_compare_reps_degree_zero_agreement(capsys):
     # the norm of a degree-0 element is the same in both models at every level
     code, out, _ = run(

@@ -451,9 +451,11 @@ def test_rank_one_sums_are_exact(kernel, p, seed):
 
 
 def test_real_and_complex_boyd_agree_on_nonnegative_kernels():
-    # empty rows give exact zeros in B x, where p < 2 takes a negative
-    # power, and empty columns give exact zeros in B^H y, where q < 2 does
-    from lpcuntz.pnorm import _boyd_block
+    # the real single-vector loop against the complex block loop, start by
+    # start; empty rows give exact zeros in B x, where p < 2 takes a
+    # negative power in the block loop, and empty columns give exact zeros
+    # in B^H y, where q < 2 does; at p = 160 the unscaled powers overflow
+    from lpcuntz.pnorm import _boyd_block, _boyd_nonnegative
 
     rng = np.random.default_rng(12)
     for trial in range(8):
@@ -462,16 +464,50 @@ def test_real_and_complex_boyd_agree_on_nonnegative_kernels():
         K[int(rng.integers(m))] = 0.0
         K[:, -1] = 0.0
         X0 = np.concatenate([np.ones((n, 1)), rng.uniform(0.1, 1.0, (n, 4)), np.eye(n)[:, -1:]], axis=1)
-        for p in (1.25, 1.5, 3.0, 4.5):
+        for p in (1.25, 1.5, 3.0, 4.5, 160.0):
             for held in (K, sparse.csr_matrix(K)):
-                real = _boyd_block(held, p, X0, 1e-12, 600)
                 cplx = _boyd_block(held.astype(complex), p, X0.astype(complex), 1e-12, 600)
-                assert real[1].dtype == np.float64 and cplx[1].dtype == np.complex128
-                assert list(real[2]) == list(cplx[2])
-                assert list(real[3]) == list(cplx[3])
-                assert real[0] == pytest.approx(cplx[0], rel=1e-13, abs=0)
-                assert not np.isnan(real[0]).any() and not np.isnan(real[1]).any()
-                assert real[0][-1] == 0.0  # the start in the empty column
+                assert cplx[1].dtype == np.complex128
+                for j in range(X0.shape[1]):
+                    gamma, x, iterations, converged = _boyd_nonnegative(held, p, X0[:, j], 1e-12, 600)
+                    assert x.dtype == np.float64
+                    assert iterations == cplx[2][j]
+                    assert converged == cplx[3][j]
+                    assert gamma == pytest.approx(cplx[0][j], rel=1e-13, abs=0)
+                    assert not np.isnan(gamma) and not np.isnan(x).any()
+                gamma = _boyd_nonnegative(held, p, X0[:, -1], 1e-12, 600)[0]
+                assert gamma == 0.0  # the start in the empty column
+
+
+@pytest.mark.parametrize("p", [160.0, 1000.0, 5000.0])
+def test_power_estimate_is_finite_at_large_p(p):
+    # 100^p overflows a double from p = 155 on, and a random start's p-th
+    # powers underflow; every p-norm scales by the largest modulus before
+    # the power, so no sum reaches inf or 0 on the exact, nonnegative and
+    # multistart paths
+    a = lp.parse_element("100*s1 + t1", lp.leavitt(2))
+    paths = (
+        (lp.sequence_rep(2, p), "exact-rank-one-sum"),
+        (lp.interval_rep(2, p), "boyd-nonnegative"),
+        (lp.fourier_twist(lp.sequence_rep(2, p)), "boyd-multistart"),
+    )
+    for rep, method in paths:
+        for level in (1, 2):
+            A = lp.evaluate(rep, a, level)
+            with np.errstate(over="raise", invalid="raise"):
+                res = lp.power_estimate(A)
+                ratio = lp.vector_norm(A.target, A.apply(res.witness), p) / lp.vector_norm(
+                    A.source, res.witness, p
+                )
+            assert res.method == method
+            assert np.isfinite(res.estimate) and res.estimate > 0.0
+            assert ratio == pytest.approx(res.estimate, rel=1e-12)
+            # 100*s1 + t1 has norm 101, which the spatial models' levels
+            # reach (sequence) or approach from below (interval)
+            if method == "exact-rank-one-sum":
+                assert res.estimate == pytest.approx(101.0, rel=1e-12)
+            elif method == "boyd-nonnegative":
+                assert res.estimate <= 101.0 * (1 + 1e-12)
 
 
 def test_norm_sequence_is_monotone_through_the_lifted_start():
