@@ -78,7 +78,6 @@ from .reps import (
     fourier_twist_table,
     free_rep,
     interval_rep,
-    reconstruct_t_from_s,
     sequence_rep,
     spatiality_report,
     tensor_identity,

@@ -62,7 +62,8 @@ BOYD_MAX_ITER = 600
 @dataclass(frozen=True)
 class NormResult:
     estimate: float
-    certified_lower: float
+    """The certified lower bound: ||A witness|| / ||witness||, which the
+    witness reproduces."""
     witness: np.ndarray  # in the weighted source coordinates
     method: str
     iterations: int
@@ -228,10 +229,10 @@ def _finish(A: OperatorMatrix, x_unweighted, method, iterations, converged):
     x = np.asarray(x_unweighted, dtype=complex) * mu ** (-1.0 / A.p)
     nx = vector_norm(A.source, x, A.p)
     if nx == 0:
-        return NormResult(0.0, 0.0, x, method, iterations, converged)
+        return NormResult(0.0, x, method, iterations, converged)
     value = vector_norm(A.target, A.apply(x), A.p) / nx
     x = x / nx
-    return NormResult(value, value, x, method, iterations, converged)
+    return NormResult(value, x, method, iterations, converged)
 
 
 def power_estimate(
@@ -249,7 +250,7 @@ def power_estimate(
     B = unweighted_kernel(A)
     n = B.shape[1]
     if n == 0 or B.shape[0] == 0 or not np.any(B.data):
-        return NormResult(0.0, 0.0, np.zeros(n, dtype=complex), "zero", 0, True)
+        return NormResult(0.0, np.zeros(n, dtype=complex), "zero", 0, True)
 
     if p == 1.0:
         sums = abs(B).sum(axis=0)
@@ -323,7 +324,7 @@ def oracle_grid(
     if n > ORACLE_MAX_DIM:
         raise ValueError(f"oracle restricted to source dimension <= {ORACLE_MAX_DIM}")
     if n == 0 or B.shape[0] == 0 or not np.any(B):
-        return NormResult(0.0, 0.0, np.zeros(n, dtype=complex), "oracle-grid", 0, True)
+        return NormResult(0.0, np.zeros(n, dtype=complex), "oracle-grid", 0, True)
 
     rng = np.random.default_rng(seed)
     half = samples // 2

@@ -478,20 +478,6 @@ def _reverse_law_gap(rep: GradedRep, s: OperatorMatrix, j: int, level: int) -> f
     return max_abs_difference(t_expected.kernel, t_stored.kernel)
 
 
-def reconstruct_t_from_s(rep: GradedRep, level: int) -> float:
-    """Rebuild each t_j from s_j alone (detect the spatial system of
-    s_j, reverse it, materialize) and return the max deviation from the
-    stored t_j matrices.  Spatial representations determine their t
-    images this way."""
-    worst = 0.0
-    for j in rep.generators:
-        gap = _reverse_law_gap(rep, rep.generator_operator("s", j, level), j, level)
-        if gap is None:
-            raise ValueError(f"s_{j} is not a spatial isometry at level {level}")
-        worst = max(worst, gap)
-    return worst
-
-
 # -- spatiality report ------------------------------------------------------
 
 # relative tolerance of the report's norm and isometry conditions
@@ -541,11 +527,18 @@ def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
     disjointness is not necessary.
     """
     K = A.kernel
-    mags = abs(K).power(A.p)
-    ratios = (A.target.weights @ mags) ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
-    c = float(ratios.max(initial=0.0))
-    if c == 0.0:
-        return c
+    mags = np.abs(K.data)
+    top = float(mags.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    # the weighted column p-sums of the moduli scaled by their maximum,
+    # as in lp_norm, so a large entry or a large p cannot overflow to inf
+    sums = np.bincount(
+        K.indices, weights=A.target.weights[rows] * (mags / top) ** A.p, minlength=K.shape[1]
+    )
+    ratios = top * sums ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
+    c = float(ratios.max())
     if np.abs(ratios - c).max() > tol * c:
         return None
     if A.p == 2.0:
@@ -554,9 +547,8 @@ def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
         if max_abs_difference(gram, sparse.diags_array(A.source.weights)) > tol * 10:
             return None
         return c
-    values = np.abs(K.data * (1.0 / c))  # the entries of K / c
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-    rows = rows[values > 1e-12 * max(1.0, float(values.max(initial=0.0)))]
+    values = mags / c  # the moduli of K / c
+    rows = rows[values > 1e-12 * max(1.0, top / c)]
     if np.unique(rows).size < rows.size:  # a row shared by two columns
         return None
     return c

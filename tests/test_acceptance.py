@@ -8,12 +8,12 @@ import numpy as np
 
 import lpcuntz as lp
 from lpcuntz.leavitt import QC
-from lpcuntz.sampling import random_spatial_system
-from lpcuntz.spatial import Rejection
 from lpcuntz.verify import (
     verify_calculus,
+    verify_lamperti,
     verify_relations,
     verify_skew_table,
+    verify_spatial_identities,
     verify_symbolic,
 )
 
@@ -111,60 +111,21 @@ def test_c03_degree_zero_norm_uniqueness():
 
 def test_c04_spatial_identities():
     with Budget(60.0):
-        rng = np.random.default_rng(44)
-        for p in (1.5, 3.0):
-            q = p / (p - 1.0)
-            for ctor in (lp.interval_rep, lp.sequence_rep):
-                rep = ctor(2, p)
-                level = 3
-                s_ops = {j: rep.generator_operator("s", j, level) for j in (1, 2)}
-                src, tgt = s_ops[1].source, s_ops[1].target
-                for _ in range(200):
-                    lam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                    xi = rng.standard_normal(len(src)) + 1j * rng.standard_normal(len(src))
-                    out = sum(complex(lam[j - 1]) * s_ops[j].apply(xi) for j in (1, 2))
-                    lhs = lp.vector_norm(tgt, out, p)
-                    rhs = lp.lp_norm(lam, p) * lp.vector_norm(src, xi, p)
-                    assert abs(lhs - rhs) < 1e-10 * max(1.0, rhs)
-                t_ops = {j: rep.generator_operator("t", j, level) for j in (1, 2)}
-                for i in range(50):
-                    gam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                    entries = sum(
-                        complex(gam[j - 1]) * t_ops[j].entries for j in (1, 2)
-                    )
-                    A = lp.OperatorMatrix(t_ops[1].source, t_ops[1].target, p, entries)
-                    est = lp.power_estimate(A, restarts=12, seed=i).estimate
-                    assert abs(est - lp.lp_norm(gam, q)) < 1e-6
+        # interval and sequence at p = 1.5 and 3: 200 s-draws, 50 t-draws each
+        checks = verify_spatial_identities(seed=44)
+        bad = [c for c in checks if not c.ok]
+        assert len(checks) == 8
+        assert not bad, bad
     print("CRITERION 4 (spatial norm identities): PASS")
 
 
 def test_c05_lamperti_round_trip():
     with Budget(60.0):
-        rng = np.random.default_rng(55)
-        p_values = (1.0, 1.5, 3.0)
-        for i in range(200):
-            sys = random_spatial_system(rng, max_atoms=8)
-            p = p_values[i % 3]
-            res = lp.detect(lp.materialize(sys, p))
-            assert res.accepted and res.spatial
-            assert set(res.system.E) == set(sys.E)
-            assert set(res.system.F) == set(sys.F)
-            assert all(res.system.block(x) == sys.block(x) for x in sys.E)
-            from lpcuntz.measure import rn_derivative
-
-            h = rn_derivative(sys.transform)
-            for y in sys.F:
-                assert abs(res.system.g[y] - sys.g[y]) < 1e-10
-                assert abs(res.h[y] - h(y).real) < 1e-10
-        sq = lp.FiniteMeasureSpace(["a", "b"], [1.0, 1.0])
-        c = 2.0 ** -0.5
-        rot = np.array([[c, -c], [c, c]])
-        for p in p_values:
-            assert isinstance(lp.detect(lp.OperatorMatrix(sq, sq, p, rot)), Rejection)
-        est = lp.oracle_grid(
-            lp.OperatorMatrix(sq, sq, 3.0, rot), samples=2048, seed=5
-        ).estimate
-        assert est > 1.001
+        # 100 spatial and 100 semispatial systems, then the rotation
+        checks = verify_lamperti(atoms=8, cases=200, seed=55)
+        bad = [c for c in checks if not c.ok]
+        assert not bad, bad
+    est = {c.name: c for c in checks}["rotation-not-isometric[p=3]"].detail["oracle_norm"]
     print(f"CRITERION 5 (Lamperti round trip, rotation norm {est:.4f}): PASS")
 
 

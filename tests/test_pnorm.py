@@ -114,11 +114,10 @@ def test_lower_bound_soundness():
         entries = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         A = lp.OperatorMatrix(src, tgt, p, entries)
         res = lp.power_estimate(A, seed=trial)
-        assert res.certified_lower <= res.estimate + 1e-15
         ratio = lp.vector_norm(tgt, A.apply(res.witness), p) / lp.vector_norm(
             src, res.witness, p
         )
-        assert ratio == pytest.approx(res.certified_lower, abs=1e-10)
+        assert ratio == pytest.approx(res.estimate, abs=1e-10)
 
 
 def test_nonnegative_matrices_single_start_matches_oracle():
@@ -187,7 +186,6 @@ def test_oracle_witness_certifies_and_is_deterministic():
             src, res.witness, p
         )
         assert ratio == pytest.approx(res.estimate, abs=1e-10)
-        assert res.certified_lower == res.estimate
         again = lp.oracle_grid(A, samples=1024, seed=trial)
         assert again.estimate == res.estimate
         assert np.array_equal(again.witness, res.witness)
@@ -291,7 +289,7 @@ def test_power_estimate_same_on_dense_and_csr():
                 assert not np.shares_memory(held_dense.kernel.data, dense)
                 a = lp.power_estimate(held_csr, restarts=6, seed=3)
                 b = lp.power_estimate(held_dense, restarts=6, seed=3)
-                assert (a.estimate, a.certified_lower) == (b.estimate, b.certified_lower)
+                assert a.estimate == b.estimate
                 assert (a.method, a.iterations, a.converged) == (b.method, b.iterations, b.converged)
                 assert np.array_equal(a.witness, b.witness)
                 assert np.array_equal(held_csr.entries, dense)
