@@ -18,14 +18,20 @@ map is a plain positive power, and take an optional caller-given start
 (the lifted previous witness in norm_sequence) as it stands.  Every
 other kernel runs it in complex arithmetic from multistart plus that
 start: all starts iterate together as the columns of one block, and
-each iteration takes one magnitude and one masked power per side of
-the kernel.  Both loops run on the CSR kernel above SPARSE_MIN_SIZE
-entries and on a dense copy below, and divide each vector by its
-largest modulus before a power, as lp_norm and the exact tests do, so
-a large entry or a large p cannot overflow a sum to inf.  A sampling
+each iteration takes one magnitude and one power per side of the
+kernel (masked only where the exponent is negative) and reads the
+duality pairing off the sum that gives the ratio.  Both loops run on a
+dense copy of the kernel when rows x columns x block width is at most
+DENSE_MAX_WORK or an eighth or more of the entries are nonzero, and on
+CSR otherwise.  Both run on the kernel divided by the power of two at
+its largest modulus, which changes no iterate, and divide each vector
+by its largest modulus before a power or a quotient, as lp_norm and the
+exact tests do, so neither a large p nor a kernel scaled far from 1
+can overflow or underflow a sum or the next iterate.  A sampling
 oracle with compass-search ascent, which never uses the Boyd map,
-covers small source dimensions.  Every returned value is a certified
-lower bound: the witness reproduces it.
+covers small source dimensions; it divides the kernel and each sample
+by its largest modulus before the powers.  Every returned value is a
+certified lower bound: the witness reproduces it.
 """
 
 from __future__ import annotations
@@ -45,15 +51,18 @@ from .spatial import (
 )
 
 ORACLE_MAX_DIM = 8
-# Boyd runs on CSR above this many kernel entries and dense at or below
-# it.  On the ladder kernels (~3 nonzeros per column) a CSR iteration
-# of a block of 20 complex starts costs 0.8-1.5x the dense one up to
-# 256 x 128 and ~0.25x at 1024 x 512.  For the one real start of a
-# nonnegative kernel a whole solve costs 1.2-1.4x dense on CSR up to
-# 128 x 128 and 1.0-1.2x at 256 x 128 (4.3-4.6 against 3.7-4.5 ms),
-# but 0.8x at 256 x 256 (2.5-2.6 against 3.2-3.3 ms), so its crossover
-# lies between 2^15 and 2^16 entries.
-SPARSE_MIN_SIZE = 2**14
+# Boyd runs on a dense copy of the kernel when rows x columns x block
+# width (the number of starts, 1 for the real vector of a nonnegative
+# kernel) is at most DENSE_MAX_WORK, or when an eighth or more of the
+# entries are nonzero, and on CSR otherwise.  Per trip, 2 BLAS threads:
+# a 21-column complex block on the ladder kernels (1-5 % nonzero) costs
+# 1.0-1.5x dense on CSR up to 32 x 32 (21,504), 0.9x at 64 x 32
+# (43,008) and 0.5-0.65x at 128 x 128; the one real vector 1.4-1.8x up
+# to 128 x 128, 0.9-1.2x at 256 x 128 (32,768) and 0.7-0.8x at
+# 256 x 256.  On random kernels the block's CSR overtakes dense below
+# 10-12 % nonzeros and the real vector's below 15-20 %; a full
+# 128 x 128 block runs 5x slower on CSR.
+DENSE_MAX_WORK = 2**15
 # Boyd's relative stopping tolerance and iteration cap per start
 BOYD_TOL = 1e-12
 BOYD_MAX_ITER = 600
@@ -85,6 +94,15 @@ def _phase_power(y: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
+def _column_norms(V: np.ndarray, p: float) -> np.ndarray:
+    """p-norm of each column of V, its moduli divided by their largest
+    before the power, as in lp_norm; 0 for a zero column."""
+    mags = np.abs(V)
+    top = mags.max(axis=0)
+    mags /= np.where(top > 0, top, 1.0)
+    return top * np.sum(mags**p, axis=0) ** (1.0 / p)
+
+
 def _masked_power(mags: np.ndarray, exponent: float) -> np.ndarray:
     """mags^exponent where mags > 1e-150 and 0 elsewhere, so that a
     negative exponent never meets an exact or underflowing zero."""
@@ -99,63 +117,79 @@ def _boyd_block(B, p, X0, tol, max_iter):
     Each column follows the single-start recurrence and its stopping
     rules (duality pairing, stall, max_iter) and leaves the block when
     it stops.  The arithmetic is complex.  Each iteration takes one
-    magnitude per side, of Y = B X and of Z = B^H (W Y), and two masked
-    powers, W = M^(p-2) with M = |Y| / max|Y| and U = S^(q-2) with
-    S = |Z| / max|Z|, all per column; then gamma = max|Y| (sum W M^2)^(1/p),
-    ||Z||_q = max|Z| (sum U S^2)^(1/q), the next iterate is U Z / max|Z|
-    and its p-norm is (sum U S^2)^(1/p).  A zero image or a zero next
+    magnitude per side, of Y = B X and of Z = B^H (W Y), and one power
+    per side, W = M^(p-2) with M = |Y| / max|Y| and U = S^(q-2) with
+    S = |Z| / max|Z|, all per column; the one of p - 2 and q - 2 that is
+    negative takes the mask of _masked_power.  Then
+    gamma = max|Y| (sum W M^2)^(1/p), ||Z||_q = max|Z| (sum U S^2)^(1/q),
+    the pairing Re<Z, X> = <W Y, B X> = max|Y|^2 sum W M^2 comes from
+    gamma's sum, and the next iterate U (Z / max|Z|) / (sum U S^2)^(1/p)
+    has p-norm 1 and no entry above 1.  A zero image or a zero next
     iterate needs no test of its own: both come with z = 0, which the
     pairing rule (0 <= 0) stops.  Returns per-column arrays (gamma, x,
     iterations, converged), where x is the column's best iterate.
     """
     q = conjugate_exponent(p)
+    w_power = _masked_power if p < 2.0 else np.power
+    u_power = _masked_power if q < 2.0 else np.power
     BH = B.conj().T
     if sparse.issparse(BH):
         BH = BH.tocsr()
     X = np.array(X0, dtype=complex)
-    top = np.abs(X).max(axis=0)
-    if np.any(top == 0):
+    norms = _column_norms(X, p)
+    if np.any(norms == 0):
         raise ValueError("zero start vector")
-    X /= top * np.sum((np.abs(X) / top) ** p, axis=0) ** (1.0 / p)
-    k = X.shape[1]
-    gammas, best_x = np.zeros(k), X.copy()
+    X /= norms
+    n, k = X.shape
     iterations, converged = np.full(k, max_iter), np.zeros(k, dtype=bool)
-    live = np.arange(k)
+    # best value and iterate of each live column, kept in step with X;
+    # a start's pair is set aside when it stops
+    live, gbest, xbest = np.arange(k), np.zeros(k), X.copy()
+    stopped = []
     gamma_prev = np.full(k, -1.0)
     for it in range(1, max_iter + 1):
         Y = B @ X
         M = np.abs(Y)
         ymax = M.max(axis=0, initial=1e-300)
         M /= ymax
-        W = _masked_power(M, p - 2.0)
+        W = w_power(M, p - 2.0)
         Y *= W
         M *= M
         M *= W
-        gamma = ymax * M.sum(axis=0) ** (1.0 / p)
-        better = gamma > gammas[live]
-        gammas[live[better]] = gamma[better]
-        best_x[:, live[better]] = X[:, better]
+        msum = M.sum(axis=0)
+        gamma = ymax * msum ** (1.0 / p)
+        better = gamma > gbest
+        np.copyto(gbest, gamma, where=better)
+        np.copyto(xbest, X, where=better)
         Z = BH @ Y
         S = np.abs(Z)
         zmax = S.max(axis=0, initial=1e-300)
         S /= zmax
-        U = _masked_power(S, q - 2.0)
+        U = u_power(S, q - 2.0)
         S *= S
         S *= U
         sq = S.sum(axis=0)
-        znorm = zmax * sq ** (1.0 / q)
-        pairing = np.real(np.sum(Z.conj() * X, axis=0))
+        # ||Z||_q <= Re<Z, X> (1 + tol), both sides over max|Y|, which
+        # keeps them off the underflow of max|Y|^2
         stall = np.abs(gamma - gamma_prev) <= tol * gamma
-        stop = (znorm <= pairing * (1.0 + tol)) | stall
+        stop = ((zmax / ymax) * sq ** (1.0 / q) <= ymax * msum * (1.0 + tol)) | stall
         if stop.any():
-            iterations[live[stop]] = it
-            converged[live[stop]] = True
+            done = live[stop]
+            iterations[done], converged[done] = it, True
+            stopped.append((done, gbest[stop], xbest[:, stop]))
             go = ~stop
-            live, gamma, zmax, sq, U, Z = live[go], gamma[go], zmax[go], sq[go], U[:, go], Z[:, go]
+            live, gbest, xbest = live[go], gbest[go], xbest[:, go]
+            gamma, zmax, sq, U, Z = gamma[go], zmax[go], sq[go], U[:, go], Z[:, go]
             if live.size == 0:
                 break
-        U /= zmax * sq ** (1.0 / p)
+        # Z scaled before it meets U, which is huge where |Z| is tiny:
+        # U |Z| / max|Z| = S^(q-1) <= 1
+        Z *= 1.0 / (zmax * sq ** (1.0 / p))
         X, gamma_prev = U * Z, gamma
+    stopped.append((live, gbest, xbest))
+    gammas, best_x = np.zeros(k), np.empty((n, k), dtype=complex)
+    for starts, g, x in stopped:
+        gammas[starts], best_x[:, starts] = g, x
     return gammas, best_x, iterations, converged
 
 
@@ -177,7 +211,8 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
         ymax = y.max(initial=1e-300)
         s = y / ymax
         w = s ** (p - 1.0)
-        gamma = ymax * float(w @ s) ** (1.0 / p)
+        ws = float(w @ s)
+        gamma = ymax * ws ** (1.0 / p)
         if gamma > best_gamma:
             best_gamma, best_x = gamma, x
         z = BT @ w
@@ -185,11 +220,22 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
         t = z / zmax
         u = t ** (q - 1.0)
         sq = float(u @ t)
-        pairing, znorm = float(z @ x), zmax * sq ** (1.0 / q)
+        # z @ x = w @ (B x) = max y (w @ s)
+        pairing, znorm = ymax * ws, zmax * sq ** (1.0 / q)
         if znorm <= pairing * (1.0 + tol) or abs(gamma - gamma_prev) <= tol * gamma:
             return best_gamma, best_x, it, True
         x, gamma_prev = u / sq ** (1.0 / p), gamma
     return best_gamma, best_x, max_iter, False
+
+
+def _boyd_kernel(B, width):
+    """The CSR kernel B as Boyd runs it on a block of ``width`` columns:
+    a dense copy when rows x columns x width is at most DENSE_MAX_WORK
+    or an eighth or more of the entries are nonzero, else B itself."""
+    entries = B.shape[0] * B.shape[1]
+    if entries * width <= DENSE_MAX_WORK or 8 * B.nnz >= entries:
+        return B.toarray()
+    return B
 
 
 def _rank_one_sum_witness(B, p):
@@ -270,9 +316,13 @@ def power_estimate(
     nonnegative = bool(not np.any(B.data.imag)) and bool(np.all(B.data.real >= 0))
     if nonnegative:
         B.data = np.ascontiguousarray(B.data.real)  # drops the complex copy
-    if B.shape[0] * n <= SPARSE_MIN_SIZE:
-        B = B.toarray()
+    # the power of two at the largest modulus divides B exactly: the
+    # iterates and the winning start do not change (_finish measures A
+    # itself), and B^H (W Y), which grows as B squared, cannot overflow
+    # or underflow for a kernel scaled far from 1
+    B.data *= 2.0 ** -np.frexp(np.abs(B.data).max())[1]
     if nonnegative:
+        B = _boyd_kernel(B, 1)
         gamma, x, iterations, converged = _boyd_nonnegative(
             B, p, np.ones(n), BOYD_TOL, BOYD_MAX_ITER
         )
@@ -294,7 +344,7 @@ def power_estimate(
     if start is not None and np.any(start):
         starts.append(start * A.source.weights ** (1.0 / p))
     gammas, xs, iterations, converged = _boyd_block(
-        B, p, np.stack(starts, axis=1), BOYD_TOL, BOYD_MAX_ITER
+        _boyd_kernel(B, len(starts)), p, np.stack(starts, axis=1), BOYD_TOL, BOYD_MAX_ITER
     )
     best = int(np.argmax(gammas))
     x = xs[:, best] if gammas[best] > 0.0 else np.ones(n, dtype=complex)
@@ -334,10 +384,14 @@ def oracle_grid(
     X2 = (pts[:, :n] + 1j * pts[:, n:]).T
     X = np.concatenate([X, X2, np.eye(n, dtype=complex), np.ones((n, 1))], axis=1)
 
-    norms_in = np.sum(np.abs(X) ** p, axis=0) ** (1.0 / p)
+    # B and each sample column divided by their largest modulus before
+    # any p-th power (_column_norms), so that a large p cannot overflow a
+    # sum to inf; the ratios do not change
+    B = B / np.abs(B).max()
+    norms_in = _column_norms(X, p)
     keep = norms_in > 0
     X = X[:, keep] / norms_in[keep]
-    norms_out = np.sum(np.abs(B @ X) ** p, axis=0) ** (1.0 / p)
+    norms_out = _column_norms(B @ X, p)
     order = np.argsort(norms_out)[::-1]
 
     # ascend from high-ranked starts that point into distinct basins
