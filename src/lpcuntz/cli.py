@@ -253,8 +253,6 @@ def cmd_lamperti(args) -> int:
 
 
 def cmd_report_spatiality(args) -> int:
-    if args.level < 1:
-        raise ValueError(f"--level must be at least 1, got {args.level}")
     rep = rep_from_descriptor(args.rep, args.d, float(args.p))
     report = spatiality_report(rep, depth=args.level, seed=args.seed)
     payload = {

@@ -359,15 +359,11 @@ def oracle_grid(
     rounds: int = 4,
 ) -> NormResult:
     """Independent brute-force lower bound for small source dimension:
-    random plus low-discrepancy sphere sampling, then derivative-free
-    local ascent from ``starts`` direction-diverse candidates at once,
-    in up to ``rounds`` passes that each restart the search step.
-    Deterministic for a given seed.  ``iterations`` counts compass
-    iterations summed over the starts."""
-    # imported here, not at module level: scipy.stats loads most of
-    # scipy and a second OpenBLAS, which no other code path needs
-    from scipy.stats import qmc
-
+    ``samples`` seeded complex Gaussian points plus the basis and the
+    all-ones vector, then derivative-free local ascent from ``starts``
+    direction-diverse candidates at once, in up to ``rounds`` passes
+    that each restart the search step.  Deterministic for a given seed.
+    ``iterations`` counts compass iterations summed over the starts."""
     p = A.p
     B = weighted_to_unweighted(A)
     n = B.shape[1]
@@ -377,12 +373,8 @@ def oracle_grid(
         return NormResult(0.0, np.zeros(n, dtype=complex), "oracle-grid", 0, True)
 
     rng = np.random.default_rng(seed)
-    half = samples // 2
-    X = rng.standard_normal((n, half)) + 1j * rng.standard_normal((n, half))
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
-    pts = sob.random(samples - half) * 2.0 - 1.0
-    X2 = (pts[:, :n] + 1j * pts[:, n:]).T
-    X = np.concatenate([X, X2, np.eye(n, dtype=complex), np.ones((n, 1))], axis=1)
+    X = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
+    X = np.concatenate([X, np.eye(n, dtype=complex), np.ones((n, 1))], axis=1)
 
     # B and each sample column divided by their largest modulus before
     # any p-th power (_column_norms), so that a large p cannot overflow a

@@ -595,12 +595,13 @@ def spatiality_report(
     """
     from .pnorm import lp_norm, power_estimate
 
+    if depth < 1:
+        raise ValueError(f"truncation level must be at least 1, got {depth}")
     p = rep.p
     d = rep.kind.d
     gens = rep.generators
-    level = max(1, depth)
     rng = np.random.default_rng(seed)
-    ops = {fam: {j: rep.generator_operator(fam, j, level) for j in gens} for fam in "st"}
+    ops = {fam: {j: rep.generator_operator(fam, j, depth) for j in gens} for fam in "st"}
     s_ops = ops["s"]
     lams = [*np.eye(d), np.arange(1, d + 1).astype(complex)]
     lams += [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(samples)]
@@ -659,7 +660,7 @@ def spatiality_report(
 
     overlap = _first_failure(((k, j) for j in gens for k in gens[: j - 1]), shared_row)
     conditions["disjoint"] = Condition(not overlap, witness=overlap)
-    conditions["spatial"] = spatial_condition(rep, level, s_ops)
+    conditions["spatial"] = spatial_condition(rep, depth, s_ops)
 
     # p-standard: span(s_1..s_d) at p, span(t_1..t_d) at q on a shorter prefix
     for fam, exponent, count, key in (
@@ -692,7 +693,7 @@ def spatiality_report(
     # units must be idempotents whose supports partition the space, and
     # only then is each e_jk tested for contractivity
     def unit(j, k) -> OperatorMatrix:
-        return evaluate(rep, monomial(rep.kind, (j,), (k,)), level)
+        return evaluate(rep, monomial(rep.kind, (j,), (k,)), depth)
 
     def unit_gap(jk):
         est = power_estimate(unit(*jk), restarts=4, seed=seed).estimate
@@ -706,7 +707,7 @@ def spatiality_report(
             if isinstance(res, Rejection):
                 return {"unit": f"e_{j}{j}", "reason": res.reason}
             diagonal.extend(res)
-        atoms = rep.space(level).atoms
+        atoms = rep.space(depth).atoms
         if len(diagonal) != len(atoms) or set(diagonal) != set(atoms):
             return {"reason": "diagonal supports do not partition the space"}
         return _first_failure(((j, k) for j in gens for k in gens), unit_gap)

@@ -116,25 +116,27 @@ print(json.dumps({
 """
 
 
+_ORACLE_AND_VERIFY = (
+    "import numpy as np\n"
+    "import lpcuntz as lp\n"
+    "from lpcuntz import cli\n"
+    "kernel = np.array([[1.0, 2.0], [0.0, -1.0]])\n"
+    "space = lp.FiniteMeasureSpace(range(2), [1.0, 2.0])\n"
+    "A = lp.OperatorMatrix(space, space, 3.0, kernel)\n"
+    "res = lp.oracle_grid(A, samples=256)\n"
+    "ref = lp.power_estimate(A)\n"
+    "assert 0.0 < res.estimate <= ref.estimate * (1 + 1e-9), (res, ref)\n"
+    "assert res.estimate >= ref.estimate * (1 - 1e-3), (res, ref)\n"
+    "assert cli.main(['verify', 'lamperti', '--cases', '4']) == 0\n"
+)
+
+
 def test_import_loads_only_scipy_sparse():
-    loaded = json.loads(_run_fresh("import lpcuntz, lpcuntz.cli" + _LOADED_SCIPY))
-    assert loaded == {"stats": [], "subpackages": ["scipy.sparse"]}
-
-
-def test_oracle_imports_scipy_stats_on_first_call():
-    loaded = json.loads(_run_fresh(
-        "import numpy as np\n"
-        "import lpcuntz as lp\n"
-        "kernel = np.array([[1.0, 2.0], [0.0, -1.0]])\n"
-        "space = lp.FiniteMeasureSpace(range(2), [1.0, 2.0])\n"
-        "A = lp.OperatorMatrix(space, space, 3.0, kernel)\n"
-        "res = lp.oracle_grid(A, samples=256)\n"
-        "ref = lp.power_estimate(A)\n"
-        "assert 0.0 < res.estimate <= ref.estimate * (1 + 1e-9), (res, ref)\n"
-        "assert res.estimate >= ref.estimate * (1 - 1e-3), (res, ref)\n"
-        + _LOADED_SCIPY
-    ))
-    assert loaded["stats"] and "scipy.stats" in loaded["stats"]
+    # importing, the oracle and a verify suite that reaches it each leave
+    # scipy.sparse the only scipy subpackage loaded
+    for code in ("import lpcuntz, lpcuntz.cli", _ORACLE_AND_VERIFY):
+        loaded = json.loads(_run_fresh(code + _LOADED_SCIPY).splitlines()[-1])
+        assert loaded == {"stats": [], "subpackages": ["scipy.sparse"]}
 
 
 @pytest.mark.parametrize(

@@ -416,6 +416,13 @@ def test_direct_sum_of_spatial_is_spatial():
     assert not report.violations
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_spatiality_report_rejects_levels_below_one(depth):
+    # a report never decides a level other than the one it names
+    with pytest.raises(ValueError, match=f"got {depth}"):
+        lp.spatiality_report(lp.sequence_rep(2, 3.0), depth=depth, samples=2)
+
+
 def test_tensor_identity():
     seq = lp.sequence_rep(2, 3.0)
     point = lp.FiniteMeasureSpace(["pt"], [1.0])
