@@ -228,6 +228,8 @@ def cmd_lamperti(args) -> int:
         raise ValueError(f"--tol must be nonnegative, got {args.tol}")
     with open(args.matrix) as handle:
         data = json.load(handle)
+    if isinstance(data, dict) and "matrix" in data:  # the payload of eval
+        data = data["matrix"]
     if not isinstance(data, dict):
         raise ValueError(f"{args.matrix}: matrix JSON must be an object")
     if args.p is not None:

@@ -397,7 +397,11 @@ def _mul_term_dicts(a_terms: dict, b_terms: dict) -> dict:
     dicts by prefix matching: t_beta s_gamma is s_rest when gamma =
     beta.rest, t_rest when beta = gamma.rest, and zero otherwise.  The
     terms of b are indexed once by gamma and by every proper prefix of
-    gamma, so each term of a meets only the terms it does not kill."""
+    gamma.  Each t-word beta of a gets one list of the terms of b that
+    it does not kill, as the s-suffix, t-word and coefficient of each
+    contraction, which every term of a with that beta reuses.  The terms
+    of a are visited in their own order, so the result's keys come in
+    the order of a term-by-term contraction."""
     by_gamma: dict = {}  # gamma -> [(gamma, delta, coeff)]
     by_prefix: dict = {}  # proper prefix of gamma -> [(gamma, delta, coeff)]
     for (gamma, delta), cb in b_terms.items():
@@ -405,15 +409,25 @@ def _mul_term_dicts(a_terms: dict, b_terms: dict) -> dict:
         by_gamma.setdefault(gamma, []).append(entry)
         for k in range(len(gamma)):
             by_prefix.setdefault(gamma[:k], []).append(entry)
+    hit_lists: dict = {}  # beta -> (s-suffixes, t-words, coeffs), three parallel lists
     terms: dict = {}
     for (alpha, beta), (ar, ai) in a_terms.items():
-        n = len(beta)
-        hits = [((alpha + gamma[n:], delta), cb) for gamma, delta, cb in by_prefix.get(beta, ())]
-        for k in range(n + 1):
-            hits.extend(
-                ((alpha, delta + beta[k:]), cb) for _, delta, cb in by_gamma.get(beta[:k], ())
-            )
-        for key, (br, bi) in hits:
+        hits = hit_lists.get(beta)
+        if hits is None:
+            n = len(beta)
+            hits = hit_lists[beta] = ([], [], [])
+            rests, words, coeffs = hits
+            for gamma, delta, cb in by_prefix.get(beta, ()):
+                rests.append(gamma[n:])
+                words.append(delta)
+                coeffs.append(cb)
+            for k in range(n + 1):
+                for _, delta, cb in by_gamma.get(beta[:k], ()):
+                    rests.append(())
+                    words.append(delta + beta[k:])
+                    coeffs.append(cb)
+        for rest, word, (br, bi) in zip(*hits):
+            key = (alpha + rest, word)
             re, im = ar * br - ai * bi, ar * bi + ai * br
             old = terms.get(key)
             terms[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
@@ -556,26 +570,29 @@ def matrix_unit_embed(kind: AlgebraKind, m: int, table) -> AlgebraElement:
             if len(alpha) != m or len(beta) != m:
                 raise ValueError("index words of wrong length")
             items.append(((alpha, beta), coeff))
+        for key, coeff in items:
+            coeff = QC.of(coeff)
+            if coeff.is_zero():
+                continue
+            acc = terms.get(key, QC_ZERO) + coeff
+            if acc.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = acc
     else:
         rows = list(table)
         if len(rows) != len(word_list):
             raise ValueError("index words of wrong length")
-        items = []
         for i, row in enumerate(rows):
-            row = list(row)
+            rows[i] = row = list(row)
             if len(row) != len(word_list):
                 raise ValueError("index words of wrong length")
-            for j, coeff in enumerate(row):
-                items.append(((word_list[i], word_list[j]), coeff))
-    for key, coeff in items:
-        coeff = QC.of(coeff)
-        if coeff.is_zero():
-            continue
-        acc = terms.get(key, QC_ZERO) + coeff
-        if acc.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
+        # each (alpha, beta) occurs once, so nothing accumulates
+        for alpha, row in zip(word_list, rows):
+            for beta, coeff in zip(word_list, row):
+                coeff = QC.of(coeff)
+                if not coeff.is_zero():
+                    terms[(alpha, beta)] = coeff
     return normal_form(AlgebraElement(kind, terms, _trusted=True))
 
 

@@ -30,8 +30,9 @@ exact tests do, so neither a large p nor a kernel scaled far from 1
 can overflow or underflow a sum or the next iterate.  A sampling
 oracle with compass-search ascent, which never uses the Boyd map,
 covers small source dimensions; it divides the kernel and each sample
-by its largest modulus before the powers.  Every returned value is a
-certified lower bound: the witness reproduces it.
+by its largest modulus before the powers, and its compass loop takes
+max-scaled powers on a trip whose plain ones could overflow.  Every
+returned value is a certified lower bound: the witness reproduces it.
 """
 
 from __future__ import annotations
@@ -238,8 +239,21 @@ def _boyd_kernel(B, width):
     return B
 
 
-def _rank_one_sum_witness(B, p):
-    """Unweighted extremal vector of the CSR kernel B when B is an l^p
+def _stacked_bincount(index, weights, length: int) -> np.ndarray:
+    """np.bincount(index, weights=w, minlength=length) for each row w of
+    ``weights``, stacked."""
+    out = np.empty((len(weights), length))
+    # a row at a time: an offset index over the whole stack would take as
+    # much memory as the stack
+    for row, w in zip(out, weights):
+        row[:] = np.bincount(index, weights=w, minlength=length)
+    return out
+
+
+def _rank_one_sum_witness(B, p, data=None):
+    """Unweighted extremal vectors, one row per kernel, of the kernels
+    with the value rows of ``data`` (B's own values by default) on the
+    CSR pattern of B, when their shared pattern of nonzeros is an l^p
     direct sum of rank-one blocks, else None.
 
     At most one nonzero per row: the columns have disjoint supports, so
@@ -249,23 +263,31 @@ def _rank_one_sum_witness(B, p):
     Hoelder extremizer conj(phase(b_i)) |b_i|^(q-1) of that row.
     """
     m, n = B.shape
+    values = B.data[None] if data is None else data
     rows = np.repeat(np.arange(m), np.diff(B.indptr))
-    nz = B.data != 0
-    rows, cols, values = rows[nz], B.indices[nz], B.data[nz]
-    x = np.zeros(n, dtype=complex)
+    cols = B.indices
+    nz = np.all(values != 0, axis=0)
+    if not nz.all():
+        rows, cols, values = rows[nz], cols[nz], values[:, nz]
+    if not cols.size:  # zero kernels: power_estimate's zero rule
+        return None
+    X = np.zeros((len(values), n), dtype=complex)
     # moduli scaled by their maximum, so the powers cannot overflow
     scaled = np.abs(values)
-    scaled /= scaled.max()
+    scaled /= scaled.max(axis=1, keepdims=True)
     if np.bincount(rows, minlength=m).max() <= 1:
-        sums = np.bincount(cols, weights=scaled**p, minlength=n)
-        x[int(np.argmax(sums))] = 1.0
-        return x
+        scaled **= p
+        sums = _stacked_bincount(cols, scaled, n)
+        X[np.arange(len(values)), np.argmax(sums, axis=1)] = 1.0
+        return X
     if np.bincount(cols, minlength=n).max() <= 1:
         q = conjugate_exponent(p)
-        sums = np.bincount(rows, weights=scaled**q, minlength=m)
-        row = rows == int(np.argmax(sums))
-        x[cols[row]] = _phase_power(values[row].conj(), q - 1.0)
-        return x
+        scaled **= q
+        sums = _stacked_bincount(rows, scaled, m)
+        for x, kernel_values, top_row in zip(X, values, np.argmax(sums, axis=1)):
+            row = rows == top_row
+            x[cols[row]] = _phase_power(kernel_values[row].conj(), q - 1.0)
+        return X
     return None
 
 
@@ -305,9 +327,9 @@ def power_estimate(
         x[col] = 1.0
         return _finish(A, x, "exact-l1", 0, True)
 
-    x = _rank_one_sum_witness(B, p)
-    if x is not None:
-        return _finish(A, x, "exact-rank-one-sum", 0, True)
+    X = _rank_one_sum_witness(B, p)
+    if X is not None:
+        return _finish(A, X[0], "exact-rank-one-sum", 0, True)
 
     if p == 2.0:
         vh = np.linalg.svd(B.toarray())[2]
@@ -408,6 +430,8 @@ def oracle_grid(
     # start that a pass does not improve retires.
     X, values = X[:, picks], norms_out[picks]
     D = np.kron([1, -1, 1j, -1j], np.eye(n))
+    # a sum of up to max(B.shape) p-th powers of moduli below this is finite
+    overflow_modulus = (np.finfo(float).max / max(B.shape)) ** (1.0 / p)
     live = np.arange(len(picks))
     iterations = 0
     for _ in range(rounds):
@@ -421,15 +445,21 @@ def oracle_grid(
             compass = X[:, idx, None] + h[None, :, None] * D[:, None, :]
             trials = np.concatenate([compass, compass + M[:, idx, None]], axis=2)
             flat = trials.reshape(n, -1)
-            num = np.sum(np.abs(B @ flat) ** p, axis=0)
-            den = np.sum(np.abs(flat) ** p, axis=0)
-            ratios = ((num / den) ** (1.0 / p)).reshape(idx.size, -1)
+            image, mags = np.abs(B @ flat), np.abs(flat)
+            # plain p-th powers unless the trip's largest modulus could
+            # overflow a sum of them; then max-scaled ones, as lp_norm's
+            overflow = max(image.max(), mags.max()) >= overflow_modulus
+            if overflow:
+                ratios = _column_norms(image, p) / _column_norms(mags, p)
+            else:
+                ratios = (np.sum(image**p, axis=0) / np.sum(mags**p, axis=0)) ** (1.0 / p)
+            ratios = ratios.reshape(idx.size, -1)
             j = np.argmax(ratios, axis=1)
             best = ratios[np.arange(idx.size), j]
             moved = best - values[idx] > h * h * values[idx]
             rows = idx[moved]
             xs = trials[:, moved, j[moved]]
-            xs = xs / np.sum(np.abs(xs) ** p, axis=0) ** (1.0 / p)
+            xs = xs / (_column_norms(xs, p) if overflow else np.sum(np.abs(xs) ** p, axis=0) ** (1.0 / p))
             M[:, rows] = xs - X[:, rows]
             X[:, rows] = xs
             values[rows] = best[moved]

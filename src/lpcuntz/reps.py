@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -514,8 +514,10 @@ class SpatialityReport:
         return "\n".join(lines)
 
 
-def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
-    """The c >= 0 with A = c * V for a full-domain isometry V, else None.
+def _isometry_scale(A: OperatorMatrix, tol: float, data=None) -> list:
+    """For each row of ``data``, the values of a kernel on the CSR
+    pattern of A (A's own values by default): the c >= 0 with
+    kernel = c * V for a full-domain isometry V, else None.
 
     c is the largest column ratio, and every column ratio must be within
     tol * c of it.  For p != 2, V is isometric iff its columns have
@@ -524,34 +526,116 @@ def _isometry_scale(A: OperatorMatrix, tol: float) -> float | None:
     over columns).  This is weaker than the detector's block-constant
     semispatial form: an isometry may carry non-constant column moduli.
     At p = 2 the weighted Gram identity V^H D_nu V = D_mu is exact and
-    disjointness is not necessary.
+    disjointness is not necessary.  An explicit zero only adds zeros to
+    the sums, so a stacked kernel gets the scale that its nonzeros get.
     """
+    from .pnorm import _stacked_bincount
+
     K = A.kernel
-    mags = np.abs(K.data)
-    top = float(mags.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    data = K.data[None] if data is None else data
+    m, n = K.shape
+    mags = np.abs(data)
+    tops = mags.max(axis=1, initial=0.0)
+    rows = np.repeat(np.arange(m), np.diff(K.indptr))
     # the weighted column p-sums of the moduli scaled by their maximum,
-    # as in lp_norm, so a large entry or a large p cannot overflow to inf
-    sums = np.bincount(
-        K.indices, weights=A.target.weights[rows] * (mags / top) ** A.p, minlength=K.shape[1]
-    )
-    ratios = top * sums ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
-    c = float(ratios.max())
-    if np.abs(ratios - c).max() > tol * c:
-        return None
+    # as in lp_norm, so a large entry or a large p cannot overflow to inf;
+    # a zero kernel keeps its zero moduli and gets c = 0
+    terms = mags / np.where(tops > 0.0, tops, 1.0)[:, None]
+    terms **= A.p
+    terms *= A.target.weights[rows]
+    sums = _stacked_bincount(K.indices, terms, n)
+    ratios = tops[:, None] * sums ** (1.0 / A.p) / A.source.weights ** (1.0 / A.p)
+    cs = ratios.max(axis=1, initial=0.0)
+    off = np.abs(ratios - cs[:, None]).max(axis=1, initial=0.0) > tol * cs
+    scales = [None if bad else float(c) for c, bad in zip(cs, off)]
     if A.p == 2.0:
-        V = K / c
-        gram = (V.conj().T @ sparse.diags_array(A.target.weights)) @ V
-        if max_abs_difference(gram, sparse.diags_array(A.source.weights)) > tol * 10:
-            return None
-        return c
-    values = mags / c  # the moduli of K / c
-    rows = rows[values > 1e-12 * max(1.0, top / c)]
-    if np.unique(rows).size < rows.size:  # a row shared by two columns
-        return None
-    return c
+        target, source = (sparse.diags_array(sp.weights) for sp in (A.target, A.source))
+        for i, c in enumerate(scales):
+            if c:
+                V = sparse.csr_array((data[i], K.indices, K.indptr), shape=K.shape) / c
+                if max_abs_difference((V.conj().T @ target) @ V, source) > tol * 10:
+                    scales[i] = None
+        return scales
+    cs = np.where(cs > 0.0, cs, 1.0)[:, None]
+    # the moduli of each kernel / c above a cut: a row kept twice is a
+    # row shared by two columns
+    kept = mags / cs > 1e-12 * np.maximum(1.0, tops[:, None] / cs)
+    shared = _stacked_bincount(rows, kept, m).max(axis=1, initial=0.0) > 1
+    return [None if share else c for c, share in zip(scales, shared)]
+
+
+class _Combinations:
+    """The kernels sum_j lambda_j K_j of one generator family, one per
+    coefficient vector lambda, on the union CSR pattern of the
+    generator kernels K_j, which the operator ``union`` holds (its
+    values count the kernels at each entry and are not read).
+
+    Row i of ``data`` holds the values of the i-th kernel, formed as
+    scipy sums the K_j: the products K_j * lambda_j added in j order.
+    So each value is that sum's value, and an exact zero is an entry
+    that the sum drops; ``full`` lists the kernels that drop none."""
+
+    def __init__(self, ops: dict, lams):
+        kernels = [op.kernel for op in ops.values()]
+        first = next(iter(ops.values()))
+        m, n = first.shape
+        # the union as a scipy sum of the patterns (it counts the kernels
+        # at each entry, so it drops none); each kernel's entries are found
+        # in it by their row-major keys, sorted in both
+        patterns = [
+            sparse.csr_array((np.ones(K.nnz), K.indices, K.indptr), shape=K.shape)
+            for K in kernels
+        ]
+        union = sum(patterns[1:], patterns[0])
+        keys = np.repeat(np.arange(m), np.diff(union.indptr)) * n + union.indices
+        coeffs = np.zeros((len(kernels), union.nnz), dtype=complex)
+        for j, K in enumerate(kernels):
+            at = np.searchsorted(keys, np.repeat(np.arange(m), np.diff(K.indptr)) * n + K.indices)
+            coeffs[j, at] = K.data
+        # one row at a time: a broadcast product would buffer the stack
+        self.data = np.empty((len(lams), union.nnz), dtype=complex)
+        for row, lam in zip(self.data, lams):
+            np.multiply(coeffs[0], complex(lam[0]), out=row)
+            for j in range(1, len(kernels)):
+                row += coeffs[j] * complex(lam[j])
+        self.full = np.flatnonzero(np.all(self.data != 0, axis=1))
+        self.union = OperatorMatrix._own(first.source, first.target, first.p, union)
+
+    def operator(self, i: int) -> OperatorMatrix:
+        """The i-th kernel as an operator, without its exact zeros."""
+        K = self.union.kernel
+        values, indices, indptr = self.data[i], K.indices, K.indptr
+        keep = values != 0
+        if not keep.all():
+            values, indices = values[keep], indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        kernel = sparse.csr_array((values, indices, indptr), shape=K.shape)
+        return OperatorMatrix._own(self.union.source, self.union.target, self.union.p, kernel)
+
+    def exact_witnesses(self) -> dict:
+        """i -> the witness of power_estimate's exact rank-one-sum rule for
+        the i-th kernel, for each kernel in ``full`` whose values the
+        weights do not absorb to zero, when the union pattern is a
+        rank-one sum; {} at p = 1, where power_estimate's column-sum rule
+        comes first.  The weights are absorbed as in unweighted_kernel."""
+        from .pnorm import _rank_one_sum_witness
+
+        A = self.union
+        if A.p == 1.0:
+            return {}
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.kernel.indptr))
+        left = (A.target.weights ** (1.0 / A.p))[rows]
+        right = (A.source.weights ** (-1.0 / A.p))[A.kernel.indices]
+        full = self.full
+        weighted = self.data[full]
+        for row in weighted:
+            row *= left
+            row *= right
+        kept = np.all(weighted != 0, axis=1)
+        if not kept.all():
+            full, weighted = full[kept], weighted[kept]
+        X = _rank_one_sum_witness(A.kernel, A.p, weighted)
+        return {} if X is None else dict(zip(full.tolist(), X))
 
 
 def spatial_condition(rep: GradedRep, level: int, s_ops=None) -> Condition:
@@ -588,12 +672,17 @@ def spatiality_report(
     vectors: the standard basis e_1..e_d first, then (1, ..., d), then
     ``samples`` random vectors (sampling is declared in the notes, not
     hidden).  At lambda = e_j, s_lambda is s_j and t_lambda is t_j, so
-    the generator conditions read the basis entries.  Each s_lambda,
-    t_lambda, norm estimate and isometry scale is computed once, when a
-    condition first needs it, and each condition names its first failure
-    in scan order.  Spatiality is ``spatial_condition``.
+    the generator conditions read the basis entries.  The values of every
+    s_lambda, and of the t_lambda on the prefix that p_standard_t reads,
+    are formed at once on their family's union pattern (_Combinations).
+    The isometry scales of all s_lambda and power_estimate's exact
+    rank-one-sum witnesses are computed over those stacked values; a
+    norm is certified from its witness, or estimated by power_estimate
+    when its combination drops an entry or leaves that exact rule, once,
+    when a condition first needs it.  Each condition names its first
+    failure in scan order.  Spatiality is ``spatial_condition``.
     """
-    from .pnorm import lp_norm, power_estimate
+    from .pnorm import _finish, lp_norm, power_estimate
 
     if depth < 1:
         raise ValueError(f"truncation level must be at least 1, got {depth}")
@@ -605,23 +694,21 @@ def spatiality_report(
     s_ops = ops["s"]
     lams = [*np.eye(d), np.arange(1, d + 1).astype(complex)]
     lams += [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(samples)]
-
-    def combination(fam: str, i: int) -> OperatorMatrix:
-        """s_lambda or t_lambda = sum_j lambda_j op_j at lambda = lams[i]."""
-        kernel = sum(complex(lams[i][j - 1]) * op.kernel for j, op in ops[fam].items())
-        return OperatorMatrix(ops[fam][1].source, ops[fam][1].target, p, kernel)
-
-    # norm and scale both read s_lambda; t_lambda has one reader, norm
-    s_lambda = lru_cache(maxsize=None)(partial(combination, "s"))
+    # the t family is read only on its p_standard_t prefix
+    combos = {
+        "s": _Combinations(s_ops, lams),
+        "t": _Combinations(ops["t"], lams[: d + 1 + samples // 2]),
+    }
+    witnesses = {fam: combo.exact_witnesses() for fam, combo in combos.items()}
 
     @lru_cache(maxsize=None)
     def norm(fam: str, i: int) -> float:
-        op = s_lambda(i) if fam == "s" else combination(fam, i)
+        op = combos[fam].operator(i)
+        if i in witnesses[fam]:
+            return _finish(op, witnesses[fam][i], "exact-rank-one-sum", 0, True).estimate
         return power_estimate(op, restarts=8, seed=seed).estimate
 
-    @lru_cache(maxsize=None)
-    def scale(i: int) -> float | None:
-        return _isometry_scale(s_lambda(i), _REPORT_NORM_TOL)
+    scales = _isometry_scale(combos["s"].union, _REPORT_NORM_TOL, combos["s"].data)
 
     conditions: dict = {}
     # contractive on generators; the witness is the first of s_1, t_1, s_2, ...
@@ -636,13 +723,13 @@ def spatiality_report(
     )
 
     fi = _first_failure(range(d), lambda i: (
-        scale(i) is None or abs(scale(i) - 1.0) > _REPORT_NORM_TOL
+        scales[i] is None or abs(scales[i] - 1.0) > _REPORT_NORM_TOL
     ) and {"generator": f"s_{i + 1}"})
     conditions["forward_isometric"] = Condition(not fi, witness=fi)
 
     # strong forward isometry: each s_lambda is a multiple of an isometry
     sfi = dict(fi) or _first_failure(
-        range(len(lams)), lambda i: scale(i) is None and {"lambda": [str(z) for z in lams[i]]}
+        range(len(lams)), lambda i: scales[i] is None and {"lambda": [str(z) for z in lams[i]]}
     )
     conditions["strongly_forward_isometric"] = Condition(
         not sfi, note=f"standard basis plus {samples} seeded samples", witness=sfi

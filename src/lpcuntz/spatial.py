@@ -54,8 +54,9 @@ class OperatorMatrix:
     The kernel is always a frozen CSR copy of what it is given, dense or
     sparse (spatial partial isometries and the elements they generate
     have few nonzeros), so the operator never aliases its input and no
-    caller branches on the form.  ``entries`` is a read-only dense view,
-    built on first use and cached.
+    caller branches on the form; only the private ``_own`` takes a kernel
+    that the package built itself as it is, without the copy.
+    ``entries`` is a read-only dense view, built on first use and cached.
     """
 
     __slots__ = ("source", "target", "p", "kernel", "_dense")
@@ -75,13 +76,24 @@ class OperatorMatrix:
             kernel = sparse.csr_array(
                 (dense[rows, cols], cols.astype(index), indptr), shape=dense.shape
             )
-        for part in (kernel.data, kernel.indices, kernel.indptr):
-            part.flags.writeable = False
         if kernel.shape != (len(target), len(source)):
             raise ValueError(
                 f"matrix shape {kernel.shape} does not match "
                 f"target x source = ({len(target)}, {len(source)})"
             )
+        self._freeze(source, target, p, kernel)
+
+    @classmethod
+    def _own(cls, source, target, p: float, kernel) -> "OperatorMatrix":
+        """The operator on a canonical CSR ``kernel`` of the right shape
+        that the package built itself and hands over: no copy, no check."""
+        op = object.__new__(cls)
+        op._freeze(source, target, p, kernel)
+        return op
+
+    def _freeze(self, source, target, p, kernel):
+        for part in (kernel.data, kernel.indices, kernel.indptr):
+            part.flags.writeable = False
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "p", p)

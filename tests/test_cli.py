@@ -392,6 +392,17 @@ def test_lamperti_command(tmp_path, capsys):
     assert np.abs(back.entries - A.entries).max() < 1e-12
 
 
+def test_lamperti_reads_the_output_of_eval(tmp_path, capsys):
+    path = tmp_path / "s1.json"
+    code, _, _ = run(
+        capsys, "eval", "-d", "2", "--rep", "interval", "--level", "2", "s1",
+        "--format", "json", "--out", str(path),
+    )
+    assert code == 0 and "matrix" in json.loads(path.read_text())
+    code, out, _ = run(capsys, "lamperti", str(path))
+    assert code == 0 and out.startswith("accepted: spatial")
+
+
 def test_report_spatiality_command(capsys):
     code, out, _ = run(
         capsys, "report-spatiality", "--rep", "fourier:sequence", "-d", "2",

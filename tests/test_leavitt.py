@@ -313,16 +313,23 @@ def test_matrix_unit_multiplicativity():
     import random
 
     rng = random.Random(5)
-    ws = lp.words(2, 2)
-    for _ in range(5):
-        M = [[rng.randint(-2, 2) for _ in ws] for _ in ws]
-        N = [[rng.randint(-2, 2) for _ in ws] for _ in ws]
-        MN = [
-            [sum(M[i][k] * N[k][j] for k in range(len(ws))) for j in range(len(ws))]
-            for i in range(len(ws))
-        ]
-        lhs = lp.mul(lp.matrix_unit_embed(K2, 2, M), lp.matrix_unit_embed(K2, 2, N))
-        assert lhs == lp.matrix_unit_embed(K2, 2, MN)
+    # real tables at d = 2, then complex Gaussian-integer tables at d = 3,
+    # whose embeddings have many terms on each t-word
+    scalars = (
+        (K2, lambda: rng.randint(-2, 2)),
+        (K3, lambda: QC(rng.randint(-2, 2), rng.randint(-2, 2))),
+    )
+    for kind, scalar in scalars:
+        ws = lp.words(kind.d, 2)
+        for _ in range(5):
+            M = [[scalar() for _ in ws] for _ in ws]
+            N = [[scalar() for _ in ws] for _ in ws]
+            MN = [
+                [sum((M[i][k] * N[k][j] for k in range(len(ws))), QC(0)) for j in range(len(ws))]
+                for i in range(len(ws))
+            ]
+            lhs = lp.mul(lp.matrix_unit_embed(kind, 2, M), lp.matrix_unit_embed(kind, 2, N))
+            assert lhs == lp.matrix_unit_embed(kind, 2, MN)
 
 
 def test_matrix_unit_law():

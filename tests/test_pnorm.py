@@ -575,6 +575,18 @@ def test_oracle_is_finite_and_silent(p, samples):
     assert oracle.estimate == pytest.approx(lp.power_estimate(A).estimate, rel=1e-9, abs=0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_oracle_compass_is_silent_at_large_p(n):
+    # the compass trials of the all-ones n x n kernel have images up to n
+    # times the largest modulus, whose 1000-th power overflows a double
+    A = op(np.ones((n, n)), 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = lp.oracle_grid(A)
+        exact = lp.power_estimate(A)
+    assert oracle.estimate == pytest.approx(exact.estimate, rel=0, abs=1e-9)
+
+
 def test_norm_sequence_is_monotone_through_the_lifted_start():
     # seeded ladders whose cold multistart values drop by up to 2e-7
     # relative (p = 3) and 1.7e-3 (p = 1.5) from one level to the next

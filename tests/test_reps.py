@@ -800,15 +800,19 @@ def test_report_branches_on_hand_built_reps(name):
 @pytest.mark.parametrize(
     "make_rep, calls",
     [
-        (lambda: lp.interval_rep(2, 3.0), 16),
-        (lambda: lp.sequence_rep(3, 3.0), 23),
-        (lambda: lp.fourier_twist(lp.interval_rep(2, 3.0)), 6),
+        (lambda: lp.interval_rep(2, 3.0), 8),
+        (lambda: lp.sequence_rep(3, 3.0), 15),
+        (lambda: lp.fourier_twist(lp.interval_rep(2, 3.0)), 0),
     ],
     ids=["interval", "sequence-d3", "fourier-interval"],
 )
 def test_report_norm_estimates_are_not_repeated(monkeypatch, make_rep, calls):
     # the generator norms are the report's norms at lambda = e_j, so
-    # contractivity costs no estimate of its own
+    # contractivity costs no estimate of its own; and power_estimate runs
+    # only where the stacked exact witnesses do not reach: at each e_j of
+    # the untwisted models, which drops the other generators' entries
+    # (2d calls), and on the d^2 matrix units when md_restriction gets to
+    # them (not on fourier-interval, whose diagonal units are rejected)
     import lpcuntz.pnorm
 
     rep = make_rep()
@@ -822,6 +826,62 @@ def test_report_norm_estimates_are_not_repeated(monkeypatch, make_rep, calls):
     monkeypatch.setattr(lpcuntz.pnorm, "power_estimate", counted)
     lp.spatiality_report(rep, depth=2, seed=0, samples=4)
     assert len(seen) == calls
+
+
+def _summed(ops, lam):
+    """The per-lambda reference: scipy's sum of lambda_j times the
+    generator kernels, as an operator."""
+    first = ops[1]
+    kernel = sum(complex(lam[j - 1]) * op.kernel for j, op in ops.items())
+    return lp.OperatorMatrix(first.source, first.target, first.p, kernel)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "descriptor, d",
+    [("interval", 2), ("sequence", 3), ("free:sequence:4", 2), ("fourier:interval", 2),
+     ("sum:interval+fourier:interval", 2)],
+)
+def test_stacked_combinations_match_per_lambda_sums(descriptor, d, p):
+    from lpcuntz.cli import rep_from_descriptor
+    from lpcuntz.pnorm import _finish, _rank_one_sum_witness
+    from lpcuntz.reps import _Combinations
+    from lpcuntz.spatial import unweighted_kernel
+
+    rep = rep_from_descriptor(descriptor, d, p)
+    rng = np.random.default_rng(11)
+    lams = [*np.eye(d), np.arange(1, d + 1).astype(complex)]
+    lams += [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(4)]
+    s1, s2 = (rep.generator_operator("s", j, 2).entries for j in (1, 2))
+    shared = np.argwhere((s1 != 0) & (s2 != 0))
+    if shared.size:  # the twisted models: a vector that cancels entries exactly
+        a, b = s1[tuple(shared[0])], s2[tuple(shared[0])]
+        lams.append(np.array([b, -a]))
+    batched = set()
+    for fam in "st":
+        ops = {j: rep.generator_operator(fam, j, 2) for j in rep.generators}
+        combos = _Combinations(ops, lams)
+        witnesses = combos.exact_witnesses()
+        scales = _isometry_scale(combos.union, 1e-8, combos.data)
+        for i, lam in enumerate(lams):
+            A, op = _summed(ops, lam), combos.operator(i)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(op.kernel, part), getattr(A.kernel, part))
+            assert scales[i] == _isometry_scale(A, 1e-8)[0]
+            if i in witnesses:
+                (alone,) = _rank_one_sum_witness(unweighted_kernel(A), p)
+                assert np.array_equal(witnesses[i], alone)
+                exact = _finish(op, witnesses[i], "exact-rank-one-sum", 0, True)
+                assert exact.estimate == lp.power_estimate(A, restarts=8).estimate
+                batched.add((fam, i))
+        # the kernels that drop an entry of the union pattern are left to
+        # power_estimate, and at p = 1 all of them are
+        dropped = set(range(len(lams))) - set(combos.full)
+        assert not witnesses.keys() & dropped
+        assert not (p == 1.0 and witnesses)
+        if fam == "s":  # e_j on the untwisted models, the cancelling vector
+            assert dropped == set(range(d)) if not shared.size else len(lams) - 1 in dropped
+    assert p == 1.0 or len(batched) >= len(lams)
 
 
 def _p2_reps():
@@ -932,7 +992,7 @@ def test_column_tests_match_loop_reference():
             ratios = loop_column_ratios(A)
             c = ratios.max()
             scaled = np.abs(ratios - c).max() <= 1e-8 * c and loop_disjoint_columns(A)
-            scale = _isometry_scale(A, 1e-8)
+            scale = _isometry_scale(A, 1e-8)[0]
             assert (scale is not None) == scaled
             if scaled:
                 assert scale == pytest.approx(c, rel=1e-12, abs=0)
@@ -943,17 +1003,17 @@ def test_column_tests_match_loop_reference():
     for kernel in ([[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]):
         for held in (np.array(kernel), sparse.csr_matrix(kernel)):
             A = lp.OperatorMatrix(space, space, 3.0, held)
-            assert _isometry_scale(A, 1e-8) == (1.0 if loop_disjoint_columns(A) else None)
+            assert _isometry_scale(A, 1e-8)[0] == (1.0 if loop_disjoint_columns(A) else None)
     # p = 2: the weighted Gram identity, which a rotation satisfies
     c = 2.0 ** -0.5
     for kernel, expected in (([[c, -c], [c, c]], True), ([[1.0, 1.0], [0.0, 0.0]], False)):
         for held in (np.array(kernel), sparse.csr_matrix(kernel)):
-            scale = _isometry_scale(lp.OperatorMatrix(space, space, 2.0, held), 1e-8)
+            scale = _isometry_scale(lp.OperatorMatrix(space, space, 2.0, held), 1e-8)[0]
             assert (scale is not None) == expected
     s1 = lp.interval_rep(2, 2.0).generator_operator("s", 1, 3)
-    assert _isometry_scale(s1, 1e-8) == pytest.approx(1.0, rel=1e-12)
+    assert _isometry_scale(s1, 1e-8)[0] == pytest.approx(1.0, rel=1e-12)
     scaled = lp.OperatorMatrix(s1.source, s1.target, 2.0, 1.5 * s1.kernel)
-    assert _isometry_scale(scaled, 1e-8) == pytest.approx(1.5, rel=1e-12)
+    assert _isometry_scale(scaled, 1e-8)[0] == pytest.approx(1.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [160.0, 1000.0, 5000.0])
@@ -961,9 +1021,9 @@ def test_isometry_scale_does_not_overflow_at_large_p(p):
     # 100^p overflows a double from p = 155 on
     space = lp.FiniteMeasureSpace(range(2), [1.0, 1.0])
     unequal = lp.OperatorMatrix(space, space, p, np.diag([100.0, 50.0]))
-    assert _isometry_scale(unequal, 1e-8) is None
+    assert _isometry_scale(unequal, 1e-8)[0] is None
     equal = lp.OperatorMatrix(space, space, p, np.diag([100.0, 100.0]))
-    assert _isometry_scale(equal, 1e-8) == pytest.approx(100.0, rel=1e-12, abs=0)
+    assert _isometry_scale(equal, 1e-8)[0] == pytest.approx(100.0, rel=1e-12, abs=0)
 
 
 def dense_pairing_adjoint(A):
