@@ -778,7 +778,9 @@ def spatiality_report(
 
     # spatial restriction to the matrix-unit subalgebra: the diagonal
     # units must be idempotents whose supports partition the space, and
-    # only then is each e_jk tested for contractivity
+    # only then is each e_jk tested for contractivity; each unit is
+    # evaluated once
+    @lru_cache(maxsize=None)
     def unit(j, k) -> OperatorMatrix:
         return evaluate(rep, monomial(rep.kind, (j,), (k,)), depth)
 

@@ -1,8 +1,12 @@
 """Exact symbolic layer: normal forms, involutions, grading, matrix
 units, and the same-length expansion."""
 
+import importlib
+import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,6 +209,68 @@ def test_products_match_all_pairs_reference(pair, rnd):
         rel = sum((lp.monomial(kind, (j,), (j,)) for j in range(2, kind.d + 1)),
                   lp.monomial(kind, (1,), (1,))) - lp.unit(kind)
         assert lp.mul(a, rel).is_zero() and lp.mul(rel, b).is_zero()
+
+
+# -- the dict join and the sparse join ------------------------------------------
+
+LEAVITT = importlib.import_module("lpcuntz.leavitt")  # the module; lp.leavitt is a function
+
+
+def joined(a, b, reduce=True, min_pairs=0):
+    """The product's terms as (key, (re, im)) in key order, and whether
+    the sparse join ran: min_pairs=0 forces it wherever the 2**53 guard
+    allows, and min_pairs=math.inf keeps the dict join."""
+    with mock.patch.object(LEAVITT, "SPARSE_JOIN_MIN_PAIRS", min_pairs), mock.patch.object(
+        LEAVITT, "_sparse_join", wraps=LEAVITT._sparse_join
+    ) as spy:
+        product = lp.mul(a, b) if reduce else mul_raw(a, b)
+    return [(key, (c.re, c.im)) for key, c in product.terms.items()], spy.called
+
+
+@given(element_pairs())
+@settings(max_examples=150, deadline=None)
+def test_sparse_join_matches_dict_join(pair):
+    kind, a, b = pair
+    for reduce in (False, True):
+        terms, used = joined(a, b, reduce)
+        assert used and terms == joined(a, b, reduce, math.inf)[0]
+    # products that cancel to zero
+    a_t = mul_raw(a, lp.linear_comb_t(kind, [1, 1]))
+    assert joined(a_t, lp.linear_comb_s(kind, [1, -1]), reduce=False) == ([], True)
+    if kind.has_sum_relation:
+        rel = sum((lp.monomial(kind, (j,), (j,)) for j in range(2, kind.d + 1)),
+                  lp.monomial(kind, (1,), (1,))) - lp.unit(kind)
+        assert joined(a, rel) == ([], True) and joined(rel, b) == ([], True)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_sparse_join_guard_at_2_53(kind):
+    # |a|_1 |b|_1 = 4c: 2**53 - 4 keeps the sparse join, 2**53 takes the dict join
+    b = lp.linear_comb_s(kind, [1, 1])
+    for c, sparse_ran in ((2**51 - 1, True), (2**51, False)):
+        a = lp.linear_comb_t(kind, [c, c])
+        terms, used = joined(a, b)
+        assert used is sparse_ran
+        assert terms == joined(a, b, min_pairs=math.inf)[0] == [(((), ()), (Fraction(2 * c), 0))]
+        assert dict(terms) == {k: (v.re, v.im) for k, v in loop_product_terms(a, b, True).items()}
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
+def test_sparse_join_on_matrix_units_matches_numpy(d, m):
+    rng = np.random.default_rng(23)
+    kind, n = lp.leavitt(d), d**m
+
+    def table(re, im):
+        return [[QC(int(x), int(y)) for x, y in zip(r, i)] for r, i in zip(re, im)]
+
+    for _ in range(4):
+        (ar, ai), (br, bi) = rng.integers(-3, 4, size=(2, 2, n, n))
+        ea = lp.matrix_unit_embed(kind, m, table(ar, ai))
+        eb = lp.matrix_unit_embed(kind, m, table(br, bi))
+        terms, used = joined(ea, eb)
+        assert used and terms == joined(ea, eb, min_pairs=math.inf)[0]
+        expected = lp.matrix_unit_embed(kind, m, table(ar @ br - ai @ bi, ar @ bi + ai @ br))
+        assert dict(terms) == {k: (c.re, c.im) for k, c in expected.terms.items()}
 
 
 # -- involutions ----------------------------------------------------------------
