@@ -235,14 +235,17 @@ def _reducible(key, d: int) -> bool:
 def _to_lattice(terms: dict) -> tuple:
     """Scale a term dict onto the Gaussian integers: returns (den, pairs)
     with den the lcm of every coefficient denominator and pairs mapping
-    each key to the integer pair (re, im) of den * coefficient."""
-    den = 1
-    for c in terms.values():
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    each key to the integer pair (re, im) of den * coefficient.  Each
+    coefficient is read once, by as_integer_ratio (the numerator and
+    denominator properties cost a Python call each), den is one lcm of
+    the distinct denominators, and den = 1 takes the numerators as they
+    are."""
+    ratios = [c.re.as_integer_ratio() + c.im.as_integer_ratio() for c in terms.values()]
+    den = math.lcm(*{r[1] for r in ratios}.union(r[3] for r in ratios))
+    if den == 1:
+        return 1, {key: (r[0], r[2]) for key, r in zip(terms, ratios)}
     return den, {
-        key: (c.re.numerator * (den // c.re.denominator),
-              c.im.numerator * (den // c.im.denominator))
-        for key, c in terms.items()
+        key: (r[0] * (den // r[1]), r[2] * (den // r[3])) for key, r in zip(terms, ratios)
     }
 
 

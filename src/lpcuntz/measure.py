@@ -58,8 +58,21 @@ class FiniteMeasureSpace:
 
     def subspace(self, atoms) -> "FiniteMeasureSpace":
         atoms = set(atoms)
-        keep = [a for a in self.atoms if a in atoms]
-        return FiniteMeasureSpace(keep, [self.weight(a) for a in keep])
+        return self._restrict([i for i, a in enumerate(self.atoms) if a in atoms])
+
+    def _restrict(self, positions) -> "FiniteMeasureSpace":
+        """The subspace on the atoms at the ascending ``positions``,
+        without the checks of the constructor: the atoms of a space are
+        unique and their weights positive, so those of a subspace are."""
+        positions = np.asarray(positions, dtype=np.intp)
+        space = object.__new__(FiniteMeasureSpace)
+        atoms = tuple(map(self.atoms.__getitem__, positions.tolist()))
+        weights = self.weights[positions]
+        weights.flags.writeable = False
+        object.__setattr__(space, "atoms", atoms)
+        object.__setattr__(space, "weights", weights)
+        object.__setattr__(space, "_index", {a: i for i, a in enumerate(atoms)})
+        return space
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMeasureSpace):
@@ -147,6 +160,18 @@ class SetTransformation:
                 if y in seen:
                     raise ValueError(f"blocks overlap at target atom {y!r}")
                 seen.add(y)
+        self._freeze(source, target, blocks)
+
+    @classmethod
+    def _own(cls, source, target, blocks: dict) -> "SetTransformation":
+        """The transformation with ``blocks``, a dict from every source atom
+        to a nonempty frozenset of target atoms, the frozensets pairwise
+        disjoint, that the package built itself: no copy, no check."""
+        S = object.__new__(cls)
+        S._freeze(source, target, blocks)
+        return S
+
+    def _freeze(self, source, target, blocks):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", blocks)
@@ -219,19 +244,35 @@ def pushforward_measure(S: SetTransformation, mu=None) -> dict:
     return {S.blocks[a]: float(mu[a]) for a in S.source.atoms}
 
 
+def _block_rows(S: SetTransformation, index=None) -> tuple:
+    """The blocks of S read into arrays, the blocks in source order and
+    each block's atoms in the block's own iteration order: the list of
+    block atoms, ``rows``, the position of each in ``index`` (S.target's
+    by default), and ``block_of``, the source position of its block."""
+    index = S.target._index if index is None else index
+    blocks = list(map(S.blocks.__getitem__, S.source.atoms))
+    atoms = [y for b in blocks for y in b]
+    rows = np.fromiter(map(index.__getitem__, atoms), dtype=np.intp, count=len(atoms))
+    block_of = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+    return atoms, rows, block_of
+
+
 def rn_derivative(S: SetTransformation, mu=None, nu=None) -> AtomFunction:
     """d(S_* mu)/d nu as a block-constant function on the target,
-    zero off the range of S."""
+    zero off the range of S.  Each block's nu-mass is summed in the
+    block's own iteration order."""
+    _, rows, block_of = _block_rows(S)
     if mu is None:
-        mu = {a: S.source.weight(a) for a in S.source.atoms}
+        mu = S.source.weights
+    else:
+        mu = np.array([float(mu[a]) for a in S.source.atoms])
     if nu is None:
-        nu = {y: S.target.weight(y) for y in S.target.atoms}
+        nu_rows = S.target.weights[rows]
+    else:
+        nu_rows = np.array([float(nu[S.target.atoms[r]]) for r in rows.tolist()])
+    block_nu = np.bincount(block_of, weights=nu_rows, minlength=len(S.source))
     values = np.zeros(len(S.target), dtype=complex)
-    for a in S.source.atoms:
-        block_nu = sum(float(nu[y]) for y in S.blocks[a])
-        h = float(mu[a]) / block_nu
-        for y in S.blocks[a]:
-            values[S.target.index(y)] = h
+    values[rows] = (mu / block_nu)[block_of]
     return AtomFunction(S.target, values)
 
 

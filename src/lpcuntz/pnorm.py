@@ -303,6 +303,39 @@ def _finish(A: OperatorMatrix, x_unweighted, method, iterations, converged):
     return NormResult(value, x, method, iterations, converged)
 
 
+def _finish_values(A: OperatorMatrix, X, data) -> list:
+    """_finish(...).estimate for each unweighted witness row of X on the
+    kernel with the values of the matching row of ``data`` on the CSR
+    pattern of A, in one pass over that pattern.  Each image is formed
+    as the CSR product forms it: the entry products in real arithmetic
+    (numpy's complex product may fuse a multiply and an add) and each
+    row's sum in entry order, by one bincount per kernel."""
+    K, p = A.kernel, A.p
+    m = K.shape[0]
+    x = np.asarray(X, dtype=complex) * A.source.weights ** (-1.0 / p)
+    gathered = x[:, K.indices]
+    rows = np.repeat(np.arange(m), np.diff(K.indptr))
+    y = np.empty((len(x), m), dtype=complex)
+    y.real = _stacked_bincount(rows, data.real * gathered.real - data.imag * gathered.imag, m)
+    y.imag = _stacked_bincount(rows, data.real * gathered.imag + data.imag * gathered.real, m)
+    nxs = _lp_norms(x, p, A.source.weights)
+    nys = _lp_norms(y, p, A.target.weights)
+    return [0.0 if nx == 0 else ny / nx for nx, ny in zip(nxs, nys)]
+
+
+def _lp_norms(V: np.ndarray, p: float, weights) -> list:
+    """lp_norm(v, p, weights) of each row v of V at a finite p, by
+    lp_norm's operations: elementwise over the stack, and the weighted
+    sum and its root per row."""
+    mags = np.abs(V)
+    tops = mags.max(axis=1, initial=0.0)
+    terms = (mags / np.where(tops > 0.0, tops, 1.0)[:, None]) ** p
+    return [
+        float(top) if top == 0.0 else float(top * (weights @ row) ** (1.0 / p))
+        for top, row in zip(tops, terms)
+    ]
+
+
 def power_estimate(
     A: OperatorMatrix, restarts: int = 20, seed: int = 0, start=None
 ) -> NormResult:

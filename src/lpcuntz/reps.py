@@ -30,6 +30,7 @@ from .measure import FiniteMeasureSpace, disjoint_union, product_space
 from .spatial import (
     OperatorMatrix,
     Rejection,
+    _csr_parts,
     checked_exponent,
     classify_idempotent,
     conjugate_exponent,
@@ -91,10 +92,11 @@ _FOURIER_RESIDUAL_TOL = 1e-10
 
 
 def _phased_permutation(value, rows, cols, shape):
-    """CSR matrix with the one constant ``value`` at each (rows[i], cols[i])."""
-    return sparse.csr_matrix(
-        (np.full(len(rows), value, dtype=complex), (rows, cols)), shape=shape
-    )
+    """CSR matrix with the one constant ``value`` at each (rows[i], cols[i]),
+    at most one per row, built from the index arrays directly."""
+    index = sparse.get_index_dtype(maxval=max(len(rows), *shape))
+    values = np.full(len(rows), value, dtype=complex)
+    return sparse.csr_matrix(_csr_parts(rows, np.asarray(cols), values, shape[0], index), shape=shape)
 
 
 def _base_rep(kind: AlgebraKind, p: float, modulus: float, s_map, space_fn, inclusion_map, label):
@@ -148,27 +150,40 @@ def sequence_rep(d: int, p: float) -> GradedRep:
     )
 
 
+# i^k: the roots of unity at the quarter turns
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
+
+
+def _root_of_unity(d: int, n: int) -> complex:
+    """w^n for w = exp(2 pi i / d): exact at the quarter turns (4n a
+    multiple of d), where cmath's w = -1 + 1.2e-16i at d = 2 would leave
+    a residue, and the power of cmath's w elsewhere."""
+    if 4 * n % d == 0:
+        return _QUARTER_TURNS[4 * n // d % 4]
+    return cmath.exp(2j * cmath.pi / d) ** n
+
+
 def fourier_twist(rep: GradedRep) -> GradedRep:
     """Pre-compose with the Fourier automorphism: the new generator
     images are v_k = d^(-1/p) sum_j w^(jk) s_j and
-    w_k = d^(-1/q) sum_j w^(-jk) t_j with w = exp(2 pi i / d).  The
-    defining relations are re-verified numerically on the first levels.
+    w_k = d^(-1/q) sum_j w^(-jk) t_j with w = exp(2 pi i / d), exact at
+    the quarter turns.  The defining relations are re-verified
+    numerically on the first levels.
     """
     d = rep.kind.d
     p = rep.p
     q = conjugate_exponent(p)
-    omega = cmath.exp(2j * cmath.pi / d)
     cs = d ** (-1.0 / p)
     ct = 1.0 if q == np.inf else d ** (-1.0 / q)
 
     def s_fn(k, level):
         return cs * sum(
-            omega ** (j * k) * rep.s_matrix(j, level) for j in range(1, d + 1)
+            _root_of_unity(d, j * k) * rep.s_matrix(j, level) for j in range(1, d + 1)
         )
 
     def t_fn(k, level):
         return ct * sum(
-            omega ** (-j * k) * rep.t_matrix(j, level) for j in range(1, d + 1)
+            _root_of_unity(d, -j * k) * rep.t_matrix(j, level) for j in range(1, d + 1)
         )
 
     out = GradedRep(
@@ -183,10 +198,12 @@ def fourier_twist(rep: GradedRep) -> GradedRep:
 
 def twist_matrix(d: int, p: float) -> np.ndarray:
     """The d x d matrix u with u[j,k] = d^(-1/p) w^(jk), so the twisted
-    s_lambda equals s_(u lambda)."""
-    omega = cmath.exp(2j * cmath.pi / d)
-    jk = np.arange(1, d + 1)
-    return d ** (-1.0 / float(p)) * omega ** np.outer(jk, jk)
+    s_lambda equals s_(u lambda); w^(jk) is exact at the quarter turns."""
+    jk = np.outer(np.arange(1, d + 1), np.arange(1, d + 1))
+    powers = cmath.exp(2j * cmath.pi / d) ** jk
+    quarter = 4 * jk % d == 0
+    powers[quarter] = np.array(_QUARTER_TURNS)[4 * jk[quarter] // d % 4]
+    return d ** (-1.0 / float(p)) * powers
 
 
 def fourier_twist_table(d: int, p: float, lam) -> dict:
@@ -637,6 +654,23 @@ class _Combinations:
         X = _rank_one_sum_witness(A.kernel, A.p, weighted)
         return {} if X is None else dict(zip(full.tolist(), X))
 
+    def exact_norms(self) -> dict:
+        """i -> the norm that _finish certifies from the i-th kernel's
+        exact witness, for every kernel in exact_witnesses, by stacked
+        passes (pnorm._finish_values) over 16 kernels at a time, which
+        bounds the stacked temporaries: one pass over the up to 53 exact
+        s-kernels of an exact-audit report raised its peak RSS by about
+        0.5 MB."""
+        from .pnorm import _finish_values
+
+        witnesses = self.exact_witnesses()
+        index = list(witnesses)
+        values = []
+        for start in range(0, len(index), 16):
+            chunk = index[start:start + 16]
+            values += _finish_values(self.union, [witnesses[i] for i in chunk], self.data[chunk])
+        return dict(zip(index, values))
+
 
 def spatial_condition(rep: GradedRep, level: int, s_ops=None) -> Condition:
     """The detector must accept each s_j on V_level (from ``s_ops``, if
@@ -675,14 +709,15 @@ def spatiality_report(
     the generator conditions read the basis entries.  The values of every
     s_lambda, and of the t_lambda on the prefix that p_standard_t reads,
     are formed at once on their family's union pattern (_Combinations).
-    The isometry scales of all s_lambda and power_estimate's exact
-    rank-one-sum witnesses are computed over those stacked values; a
-    norm is certified from its witness, or estimated by power_estimate
-    when its combination drops an entry or leaves that exact rule, once,
-    when a condition first needs it.  Each condition names its first
-    failure in scan order.  Spatiality is ``spatial_condition``.
+    The isometry scales of all s_lambda, power_estimate's exact
+    rank-one-sum witnesses and the norms that those witnesses certify
+    are computed over those stacked values, 16 kernels per pass; a norm
+    whose combination drops an entry or leaves that exact rule is
+    estimated by power_estimate, once, when a condition first needs it.
+    Each condition names its first failure in scan order.  Spatiality
+    is ``spatial_condition``.
     """
-    from .pnorm import _finish, lp_norm, power_estimate
+    from .pnorm import lp_norm, power_estimate
 
     if depth < 1:
         raise ValueError(f"truncation level must be at least 1, got {depth}")
@@ -699,14 +734,13 @@ def spatiality_report(
         "s": _Combinations(s_ops, lams),
         "t": _Combinations(ops["t"], lams[: d + 1 + samples // 2]),
     }
-    witnesses = {fam: combo.exact_witnesses() for fam, combo in combos.items()}
+    exact = {fam: combo.exact_norms() for fam, combo in combos.items()}
 
     @lru_cache(maxsize=None)
     def norm(fam: str, i: int) -> float:
-        op = combos[fam].operator(i)
-        if i in witnesses[fam]:
-            return _finish(op, witnesses[fam][i], "exact-rank-one-sum", 0, True).estimate
-        return power_estimate(op, restarts=8, seed=seed).estimate
+        if i in exact[fam]:
+            return exact[fam][i]
+        return power_estimate(combos[fam].operator(i), restarts=8, seed=seed).estimate
 
     scales = _isometry_scale(combos["s"].union, _REPORT_NORM_TOL, combos["s"].data)
 

@@ -28,9 +28,9 @@ from scipy import sparse
 from .measure import (
     FiniteMeasureSpace,
     SetTransformation,
+    _block_rows,
     identity_transformation,
     product_space,
-    rn_derivative,
     space_from_json,
     space_to_json,
 )
@@ -206,6 +206,20 @@ class SpatialSystem:
             if abs(abs(value) - 1.0) > PHASE_TOL:
                 raise ValueError(f"|g({y!r})| = {abs(value)} is not 1")
             g[y] = value
+        self._freeze(domain, codomain, E, F, transform, g)
+
+    @classmethod
+    def _own(cls, domain, codomain, E, F, transform, g) -> "SpatialSystem":
+        """The system that the package built itself, as it is, without the
+        checks and copies of the constructor: E and F are tuples in domain
+        and codomain order, ``transform`` maps domain.subspace(E) onto
+        codomain.subspace(F) with blocks that cover F, and ``g`` is a dict
+        from exactly the atoms of F to complex numbers of modulus 1."""
+        sys = object.__new__(cls)
+        sys._freeze(domain, codomain, E, F, transform, g)
+        return sys
+
+    def _freeze(self, domain, codomain, E, F, transform, g):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "E", E)
@@ -260,22 +274,43 @@ def identity_system(space: FiniteMeasureSpace) -> SpatialSystem:
     )
 
 
+def _csr_parts(rows, cols, values, n_rows: int, index=np.intp) -> tuple:
+    """(data, indices, indptr), indices of dtype ``index``, of the CSR
+    matrix with ``values`` at (rows, cols), at most one entry per row:
+    indptr counted by bincount and each entry put at its row's slot."""
+    indptr = np.zeros(n_rows + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    at = indptr[rows]
+    data, indices = np.empty_like(values), np.empty(len(at), dtype=index)
+    data[at], indices[at] = values, cols
+    return data, indices, indptr
+
+
+def _system_entries(sys: SpatialSystem, p: float) -> tuple:
+    """Codomain rows, domain columns and values of the entries of
+    materialize(sys, p), in block order: the blocks in E order and each
+    block's atoms in the block's own iteration order.  Each block's mass
+    is summed in that order by one bincount and h^(1/p) is one Python
+    float power per block."""
+    ys, rows, block_of = _block_rows(sys.transform, sys.codomain._index)
+    cols = np.fromiter(map(sys.domain._index.__getitem__, sys.E), dtype=np.intp, count=len(sys.E))
+    mass = np.bincount(block_of, weights=sys.codomain.weights[rows], minlength=cols.size)
+    scales = np.array([h ** (1.0 / p) for h in (sys.domain.weights[cols] / mass).tolist()])
+    phases = np.fromiter(map(sys.g.__getitem__, ys), dtype=complex, count=len(ys))
+    # a complex-by-real product: the same bits as Python's g * h ** (1 / p)
+    return rows, cols[block_of], phases * scales[block_of]
+
+
 def materialize(sys: SpatialSystem, p) -> OperatorMatrix:
-    """The (semi)spatial partial isometry of the system at exponent p."""
+    """The (semi)spatial partial isometry of the system at exponent p:
+    g(y) h(y)^(1/p) at (y, x) for each y in the block of x, with h the
+    rn_derivative of the transformation.  Reads the system into index
+    arrays (_system_entries) and builds the CSR from them once."""
     p = checked_exponent(p)
-    h = rn_derivative(sys.transform)
-    rows, cols, values = [], [], []
-    for x in sys.E:
-        col = sys.domain.index(x)
-        for y in sys.block(x):
-            rows.append(sys.codomain.index(y))
-            cols.append(col)
-            values.append(sys.g[y] * h(y).real ** (1.0 / p))
-    kernel = sparse.csr_array(
-        (np.array(values, dtype=complex), (rows, cols)),
-        shape=(len(sys.codomain), len(sys.domain)),
-    )
-    return OperatorMatrix(sys.domain, sys.codomain, p, kernel)
+    rows, cols, values = _system_entries(sys, p)
+    m, n = len(sys.codomain), len(sys.domain)
+    kernel = sparse.csr_array(_csr_parts(rows, cols, values, m), shape=(m, n))
+    return OperatorMatrix._own(sys.domain, sys.codomain, p, kernel)
 
 
 def reverse(sys: SpatialSystem) -> SpatialSystem:
@@ -283,13 +318,19 @@ def reverse(sys: SpatialSystem) -> SpatialSystem:
     with t s = m(chi_E) and s t = m(chi_F).  Spatial systems only.
 
     The inverted phase is computed as the conjugate (equal to 1/g on the
-    unit circle), which keeps the reverse an exact involution.
+    unit circle), which keeps the reverse an exact involution.  The
+    singleton blocks of a spatial system invert to singleton blocks that
+    cover E, so the reverse is built without the constructors' checks.
     """
     if not sys.spatial:
         raise ValueError("the reverse is defined for spatial systems only")
-    inv = sys.transform.inverse()
-    g_rev = {x: sys.g[sys.image_atom(x)].conjugate() for x in sys.E}
-    return SpatialSystem(sys.codomain, sys.domain, sys.F, sys.E, inv, g_rev)
+    inv, g_rev = {}, {}
+    for x in sys.E:
+        (y,) = sys.transform.blocks[x]
+        inv[y] = frozenset((x,))
+        g_rev[x] = sys.g[y].conjugate()
+    transform = SetTransformation._own(sys.transform.target, sys.transform.source, inv)
+    return SpatialSystem._own(sys.codomain, sys.domain, sys.F, sys.E, transform, g_rev)
 
 
 def compose_systems(v: SpatialSystem, s: SpatialSystem) -> SpatialSystem:
@@ -396,22 +437,26 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
     (mu(x)/nu(B_x))^(1/p); then A = materialize(system) up to tol.
     Works combinatorially at every p; at p = 2 acceptance still
     certifies the form, but rejection does not rule out an isometry.
-    Reads the kernel's column supports through CSC; every test scans
-    the support entries column by column, rows ascending, and reports
-    the first failure in that order.
+    Reads the kernel's entries into index arrays, column by column and
+    rows ascending (a stable sort of the CSR entries by column); every
+    test scans the support entries in that order and reports the first
+    failure.  The system is built from those arrays without the
+    constructors' checks, whose invariants the tests below establish,
+    and the reconstruction is compared with A on the same arrays.
     """
     p = A.p
     mu = A.source.weights
     nu = A.target.weights
     atoms_in, atoms_out = A.source.atoms, A.target.atoms
-    K = sparse.csc_array(A.kernel)
-    K.sort_indices()
-    mags = np.abs(K.data)
+    K = A.kernel
+    order = np.argsort(K.indices, kind="stable")
+    data = K.data[order]
+    mags = np.abs(data)
     scale = max(1.0, float(mags.max(initial=0.0)))
     support = mags > tol * scale
-    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))[support]
-    rows = K.indices[support]
-    values = K.data[support]
+    cols = K.indices[order][support]
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))[order][support]
+    values = data[support]
 
     # overlap: the first support entry whose row an earlier column holds
     held_rows, first = np.unique(rows, return_index=True)
@@ -450,20 +495,29 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
             },
         )
 
-    ys = [atoms_out[r] for r in rows.tolist()]
-    # componentwise division keeps real phases exact
-    re_g, im_g = (values.real / moduli).tolist(), (values.imag / moduli).tolist()
-    g = {y: complex(a, b) for y, a, b in zip(ys, re_g, im_g)}
-    h = {y: hvals[b] for y, b in zip(ys, block_of.tolist())}
-    E = tuple(atoms_in[c] for c in E_cols.tolist())
+    ys = list(map(atoms_out.__getitem__, rows.tolist()))
+    # componentwise division keeps real phases exact; each phase is an
+    # entry over its modulus, so it has modulus 1
+    phases = np.empty(values.size, dtype=complex)
+    phases.real, phases.imag = values.real / moduli, values.imag / moduli
+    g = dict(zip(ys, phases.tolist()))
+    h = dict(zip(ys, np.array(hvals)[block_of].tolist()))
     bounds = np.append(starts, rows.size).tolist()
-    blocks = {x: frozenset(ys[bounds[b]:bounds[b + 1]]) for b, x in enumerate(E)}
-    F = tuple(atoms_out[r] for r in np.sort(rows).tolist())
-    transform = SetTransformation(
-        A.source.subspace(E), A.target.subspace(F), blocks
+    # overlap passed, so the blocks are nonempty, pairwise disjoint and
+    # cover F = the support rows
+    source, target = A.source._restrict(E_cols), A.target._restrict(np.sort(rows))
+    blocks = {x: frozenset(ys[bounds[b]:bounds[b + 1]]) for b, x in enumerate(source.atoms)}
+    transform = SetTransformation._own(source, target, blocks)
+    system = SpatialSystem._own(A.source, A.target, source.atoms, target.atoms, transform, g)
+    # materialize(system) holds an entry at each support entry and
+    # nowhere else; it sums a block's mass in the block's own order
+    block_rows, _, block_values = _system_entries(system, p)
+    rebuilt = np.empty(A.shape[0], dtype=complex)
+    rebuilt[block_rows] = block_values
+    err = max(
+        float(np.abs(rebuilt[rows] - values).max(initial=0.0)),
+        float(mags[~support].max(initial=0.0)),
     )
-    system = SpatialSystem(A.source, A.target, E, F, transform, g)
-    err = max_abs_difference(materialize(system, p).kernel, A.kernel)
     if err > tol * scale:
         return Rejection(
             "reconstruction mismatch", {"max_abs_error": err}

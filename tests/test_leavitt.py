@@ -243,6 +243,23 @@ def test_sparse_join_matches_dict_join(pair):
         assert joined(a, rel) == ([], True) and joined(rel, b) == ([], True)
 
 
+@given(elements(K3, 3), st.sampled_from([QC(1), QC(Fraction(1, 3), Fraction(2, 7)), QC(0, Fraction(5, 4))]))
+@settings(max_examples=100, deadline=None)
+def test_to_lattice_matches_per_term_lcm(a, scale):
+    from lpcuntz.leavitt import _to_lattice
+
+    terms = (a * scale).terms
+    den = 1
+    for c in terms.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    pairs = {
+        key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in terms.items()
+    }
+    got_den, got = _to_lattice(terms)
+    assert (got_den, got) == (den, pairs) and list(got) == list(pairs)
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=str)
 def test_sparse_join_guard_at_2_53(kind):
     # |a|_1 |b|_1 = 4c: 2**53 - 4 keeps the sparse join, 2**53 takes the dict join

@@ -139,14 +139,18 @@ def closed_form_kron(ref, s_factor, t_factor, n_aux):
 
 
 def closed_form_fourier(ref, d, p):
-    omega = cmath.exp(2j * cmath.pi / d)
+    def root(n):  # exp(2 pi i n / d), exact where it is one of 1, i, -1, -i
+        if 4 * n % d == 0:
+            return {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: 0 - 1j}[4 * n // d % 4]
+        return cmath.exp(2j * cmath.pi / d) ** n
+
     cs, ct = d ** (-1.0 / p), d ** (-1.0 / lp.conjugate_exponent(p))
     return ClosedFormRep(
         lambda k, level: cs * sum(
-            omega ** (j * k) * ref.s_matrix(j, level) for j in range(1, d + 1)
+            root(j * k) * ref.s_matrix(j, level) for j in range(1, d + 1)
         ),
         lambda k, level: ct * sum(
-            omega ** (-j * k) * ref.t_matrix(j, level) for j in range(1, d + 1)
+            root(-j * k) * ref.t_matrix(j, level) for j in range(1, d + 1)
         ),
         ref.inclusion,
     )
@@ -217,6 +221,37 @@ def test_derived_generators_equal_closed_forms():
                 d,
                 range(5),
             )
+
+
+@pytest.mark.parametrize("n", [4, 32, 1024])
+def test_phased_permutation_matches_coo_build(n):
+    from lpcuntz.reps import _phased_permutation
+
+    rng = np.random.default_rng(n)
+    rows, cols = rng.permutation(2 * n)[:n], rng.permutation(n)
+    got = _phased_permutation(0.5 - 1j, rows, cols, (2 * n, n))
+    want = _csr(0.5 - 1j, rows, cols, (2 * n, n))
+    assert type(got) is type(want) and got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def test_fourier_twist_is_exact_at_quarter_turns():
+    # w = -1 at d = 2 and w = i at d = 4, exactly: the d = 2 twist of a
+    # real model stays real, and an evaluated element stores no residue
+    # of an entry that cancels
+    for p in (1.5, 3.0):
+        rep = lp.fourier_twist(lp.sequence_rep(2, p))
+        for j in (1, 2):
+            assert not np.any(rep.s_matrix(j, 3).data.imag)
+            assert not np.any(rep.t_matrix(j, 3).data.imag)
+        kernel = lp.evaluate(rep, lp.parse_element("s1*t2 + s2*t1 + t1*t2", K2), 3).kernel
+        assert kernel.nnz == 15 and np.all(np.abs(kernel.data) > 0.1)
+        for d in (2, 4):
+            u = lp.twist_matrix(d, p)
+            assert np.all((u.real == 0) | (u.imag == 0))
+            assert np.all(np.abs(u) == d ** (-1.0 / p))
 
 
 def test_relation_residuals_small_grid():
@@ -862,6 +897,8 @@ def test_stacked_combinations_match_per_lambda_sums(descriptor, d, p):
         ops = {j: rep.generator_operator(fam, j, 2) for j in rep.generators}
         combos = _Combinations(ops, lams)
         witnesses = combos.exact_witnesses()
+        norms = combos.exact_norms()
+        assert norms.keys() == witnesses.keys()
         scales = _isometry_scale(combos.union, 1e-8, combos.data)
         for i, lam in enumerate(lams):
             A, op = _summed(ops, lam), combos.operator(i)
@@ -873,6 +910,7 @@ def test_stacked_combinations_match_per_lambda_sums(descriptor, d, p):
                 assert np.array_equal(witnesses[i], alone)
                 exact = _finish(op, witnesses[i], "exact-rank-one-sum", 0, True)
                 assert exact.estimate == lp.power_estimate(A, restarts=8).estimate
+                assert norms[i] == exact.estimate
                 batched.add((fam, i))
         # the kernels that drop an entry of the union pattern are left to
         # power_estimate, and at p = 1 all of them are

@@ -329,15 +329,22 @@ def test_classify_idempotent_matches_loop_reference(held):
             assert isinstance(got, Rejection) and got.reason == reason
 
 
-def loop_materialize(sys, p):
-    """Reference: the dense matrix of the system, entry by entry."""
-    h = rn_derivative(sys.transform)
-    entries = np.zeros((len(sys.codomain), len(sys.domain)), dtype=complex)
+def per_atom_materialize(sys, p):
+    """Reference: the CSR kernel built atom by atom from COO, each block's
+    mass added in the block's own iteration order."""
+    rows, cols, values = [], [], []
     for x in sys.E:
-        col = sys.domain.index(x)
-        for y in sys.block(x):
-            entries[sys.codomain.index(y), col] = sys.g[y] * h(y).real ** (1.0 / p)
-    return entries
+        block = sys.block(x)
+        mass = 0.0
+        for y in block:
+            mass += sys.codomain.weight(y)
+        h = sys.domain.weight(x) / mass
+        for y in block:
+            rows.append(sys.codomain.index(y))
+            cols.append(sys.domain.index(x))
+            values.append(sys.g[y] * h ** (1.0 / p))
+    shape = (len(sys.codomain), len(sys.domain))
+    return sparse.csr_array((np.array(values, dtype=complex), (rows, cols)), shape=shape)
 
 
 def loop_detect(A, tol=1e-9):
@@ -380,7 +387,7 @@ def loop_detect(A, tol=1e-9):
     F = tuple(y for y in A.target.atoms if y in owner)
     transform = lp.SetTransformation(A.source.subspace(E), A.target.subspace(F), blocks)
     system = lp.SpatialSystem(A.source, A.target, E, F, transform, g)
-    err = float(np.max(np.abs(loop_materialize(system, p) - A.entries), initial=0.0))
+    err = float(np.max(np.abs(per_atom_materialize(system, p).toarray() - A.entries), initial=0.0))
     if err > tol * scale:
         return Rejection("reconstruction mismatch", {"max_abs_error": err})
     return system, h
@@ -433,7 +440,7 @@ def test_detect_and_materialize_match_loop_reference():
         p = (1.0, 1.5, 2.0, 3.0)[i % 4]
         A = lp.materialize(sys, p)
         assert sparse.issparse(A.kernel)
-        reference = loop_materialize(sys, p)
+        reference = per_atom_materialize(sys, p).toarray()
         assert np.array_equal(A.entries, reference)
         for K in perturbations(reference, rng):
             for held in (K, sparse.csr_matrix(K)):
@@ -448,6 +455,85 @@ def test_detect_and_materialize_match_loop_reference():
                     assert got.spatial == want[0].spatial
                     outcomes.add("accepted")
     assert outcomes == {"accepted", "overlapping column supports", "block-constancy failure"}
+
+
+def blocky_system(rng, phases=None):
+    """Seeded semispatial system whose blocks hold 1 to 16 atoms of
+    uneven weights, so that some hold 8 or more."""
+    n_dom, n_cod = 6, 48
+    dom = lp.FiniteMeasureSpace([f"x{i}" for i in range(n_dom)], rng.uniform(0.1, 3.0, n_dom))
+    cod = lp.FiniteMeasureSpace([f"y{i}" for i in range(n_cod)], rng.uniform(0.1, 3.0, n_cod))
+    E = [dom.atoms[i] for i in sorted(rng.choice(n_dom, size=4, replace=False))]
+    sizes = (1, 3, 8, 16)
+    order = rng.permutation(n_cod)
+    pieces = np.split(order[: sum(sizes)], np.cumsum(sizes)[:-1])
+    blocks = {x: frozenset(cod.atoms[i] for i in piece) for x, piece in zip(E, pieces)}
+    F = [cod.atoms[i] for piece in pieces for i in piece]
+    S = lp.SetTransformation(dom.subspace(E), cod.subspace(F), blocks)
+    g = phases(F) if phases else {y: np.exp(1j * t) for y, t in zip(F, rng.uniform(0, 2 * np.pi, len(F)))}
+    return lp.SpatialSystem(dom, cod, E, F, S, g)
+
+
+def seeded_systems(rng, phases=None):
+    systems = [blocky_system(rng, phases) for _ in range(6)]
+    for i in range(24):
+        sys = random_spatial_system(rng, max_atoms=10) if i % 2 else random_semispatial_system(rng, max_atoms=20)
+        if phases:
+            sys = lp.SpatialSystem(sys.domain, sys.codomain, sys.E, sys.F, sys.transform, phases(sys.F))
+        systems.append(sys)
+    return systems
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 160.0])
+def test_materialize_matches_per_atom_loop(p):
+    rng = np.random.default_rng(24)
+    for sys in [big_block_system(), *seeded_systems(rng)]:
+        got, want = lp.materialize(sys, p).kernel, per_atom_materialize(sys, p)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 160.0])
+def test_detect_inverts_materialize_exactly(p):
+    # quarter-turn phases survive entry / modulus exactly, so the detected
+    # system equals the materialized one; h is the block-constant ratio
+    rng = np.random.default_rng(25)
+
+    def phases(F):
+        return {y: (1 + 0j, 1j, -1 + 0j, -1j)[k] for y, k in zip(F, rng.integers(0, 4, len(F)))}
+
+    blocks_of_8 = 0
+    for sys in seeded_systems(rng, phases):
+        A = lp.materialize(sys, p)
+        res = lp.detect(A)
+        assert res.accepted and res.system == sys and res.spatial == sys.spatial
+        assert res.h == loop_detect(A)[1]
+        h = rn_derivative(sys.transform)
+        assert all(abs(res.h[y] - h(y).real) <= 4e-16 * h(y).real for y in sys.F)
+        blocks_of_8 += sum(len(b) >= 8 for b in sys.transform.blocks.values())
+    assert blocks_of_8 >= 12
+
+
+def test_detect_rejections_keep_reason_and_witness():
+    # one matrix per rejection kind, checked against the loop reference;
+    # at tol = 0.1 an entry of modulus 1.81 where (8 / 1)^(1/3) = 2 is
+    # expected passes block constancy (0.19 <= 0.1 * 2) but leaves a
+    # reconstruction error above tol times the largest modulus (0.181)
+    one, two = lp.FiniteMeasureSpace(["x0", "x1"], [8.0, 1.0]), lp.FiniteMeasureSpace(["y0", "y1"], [1.0, 1.0])
+    phase = np.exp(0.7j)
+    cases = [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-9, "overlapping column supports"),
+        (np.array([[2.0 * phase, 0.0], [0.0, 0.5]]), 1e-9, "block-constancy failure"),
+        (np.array([[1.81 * phase, 0.0], [0.0, 1.0]]), 0.1, "reconstruction mismatch"),
+        (np.array([[1.81 * phase, 0.0], [0.0, 0.15]]), 0.1, "reconstruction mismatch"),
+    ]
+    for entries, tol, reason in cases:
+        for held in (entries, sparse.csr_array(entries)):
+            A = lp.OperatorMatrix(one, two, 3.0, held)
+            got, want = lp.detect(A, tol=tol), loop_detect(A, tol=tol)
+            assert isinstance(got, Rejection) and got.reason == reason
+            assert (got.reason, got.witness) == (want.reason, want.witness)
 
 
 def test_homotopy_rigidity_witness():
