@@ -246,21 +246,24 @@ def pushforward_measure(S: SetTransformation, mu=None) -> dict:
 
 def _block_rows(S: SetTransformation, index=None) -> tuple:
     """The blocks of S read into arrays, the blocks in source order and
-    each block's atoms in the block's own iteration order: the list of
-    block atoms, ``rows``, the position of each in ``index`` (S.target's
-    by default), and ``block_of``, the source position of its block."""
+    each block's atoms by their position in ``index`` (S.target's by
+    default), so that sums over a block do not depend on the hash seed
+    that orders a frozenset: the list of block atoms, ``rows``, the
+    position of each in ``index``, and ``block_of``, the source position
+    of its block."""
     index = S.target._index if index is None else index
     blocks = list(map(S.blocks.__getitem__, S.source.atoms))
     atoms = [y for b in blocks for y in b]
     rows = np.fromiter(map(index.__getitem__, atoms), dtype=np.intp, count=len(atoms))
     block_of = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
-    return atoms, rows, block_of
+    order = np.lexsort((rows, block_of))
+    return list(map(atoms.__getitem__, order.tolist())), rows[order], block_of
 
 
 def rn_derivative(S: SetTransformation, mu=None, nu=None) -> AtomFunction:
     """d(S_* mu)/d nu as a block-constant function on the target,
-    zero off the range of S.  Each block's nu-mass is summed in the
-    block's own iteration order."""
+    zero off the range of S.  Each block's nu-mass is summed in target
+    order."""
     _, rows, block_of = _block_rows(S)
     if mu is None:
         mu = S.source.weights

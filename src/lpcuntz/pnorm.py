@@ -20,8 +20,17 @@ other kernel runs it in complex arithmetic from multistart plus that
 start: all starts iterate together as the columns of one block, and
 each iteration takes one magnitude and one power per side of the
 kernel (masked only where the exponent is negative) and reads the
-duality pairing off the sum that gives the ratio.  Both loops run on a
-dense copy of the kernel when rows x columns x block width is at most
+duality pairing off the sum that gives the ratio.  Every
+BOYD_AITKEN_PERIOD-th trip both loops try one vector Aitken (Delta^2)
+step per start (_aitken) from its last two iterates and their plain
+image.  The candidate is taken only when the step's quotient r has
+|r| < 0.99 and it is finite, nonzero and, in the real loop, entrywise
+nonnegative; it is scaled to p-norm 1 by max-scaled powers.  A
+candidate whose value on the next trip is below that of the iterate it
+came from is dropped for the kept plain image, and that trip neither
+stops the start nor counts for the stall rule, so the values a start
+keeps never decrease.  Both loops run on a dense copy of the kernel
+when rows x columns x block width is at most
 DENSE_MAX_WORK or an eighth or more of the entries are nonzero, and on
 CSR otherwise.  Both run on the kernel divided by the power of two at
 its largest modulus, which changes no iterate, and divide each vector
@@ -67,6 +76,12 @@ DENSE_MAX_WORK = 2**15
 # Boyd's relative stopping tolerance and iteration cap per start
 BOYD_TOL = 1e-12
 BOYD_MAX_ITER = 600
+# every BOYD_AITKEN_PERIOD-th Boyd trip tries a safeguarded Aitken
+# step; 3, 4 and 5 gave the four norm ladders of the benchmark the same
+# solve time (2-core VM, min of 7 repeats in one process), 6 and 8
+# 8-12 % more.  Below 3 a dropped candidate would feed the next
+# extrapolation
+BOYD_AITKEN_PERIOD = 5
 
 
 @dataclass(frozen=True)
@@ -112,6 +127,26 @@ def _masked_power(mags: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
+def _aitken(X_prev, X, TX):
+    """The vector Delta^2 (Aitken) candidate of each column from the
+    iterates X_prev, X and the plain image TX = T X: with d1 = X - X_prev,
+    d2 = TX - X and r = <d1, d2> / <d1, d1> (real parts), the candidate
+    TX + d2 r / (1 - r).  Returns it with the mask of the columns that
+    may take it: |r| < 0.99, finite and nonzero.  A real array takes
+    the same operations (its imaginary parts are zeros), so the real
+    loop and the complex block form r alike on a nonnegative kernel."""
+    d1, C = X - X_prev, TX - X  # C holds d2 until the candidate replaces it
+    num = (d1.real * C.real + d1.imag * C.imag).sum(axis=0)
+    den = (d1.real * d1.real + d1.imag * d1.imag).sum(axis=0)
+    r = num / np.where(den > 0.0, den, 1.0)
+    ok = (den > 0.0) & (np.abs(r) < 0.99)
+    r = np.where(ok, r, 0.0)
+    C *= r / (1.0 - r)
+    C += TX
+    ok &= np.isfinite(C).all(axis=0) & C.any(axis=0)
+    return C, ok
+
+
 def _boyd_block(B, p, X0, tol, max_iter):
     """The fixed-point iteration from every column of X0 at once.
 
@@ -124,11 +159,20 @@ def _boyd_block(B, p, X0, tol, max_iter):
     negative takes the mask of _masked_power.  Then
     gamma = max|Y| (sum W M^2)^(1/p), ||Z||_q = max|Z| (sum U S^2)^(1/q),
     the pairing Re<Z, X> = <W Y, B X> = max|Y|^2 sum W M^2 comes from
-    gamma's sum, and the next iterate U (Z / max|Z|) / (sum U S^2)^(1/p)
+    gamma's sum, and the plain image U (Z / max|Z|) / (sum U S^2)^(1/p)
     has p-norm 1 and no entry above 1.  A zero image or a zero next
     iterate needs no test of its own: both come with z = 0, which the
-    pairing rule (0 <= 0) stops.  Returns per-column arrays (gamma, x,
-    iterations, converged), where x is the column's best iterate.
+    pairing rule (0 <= 0) stops.
+
+    Every BOYD_AITKEN_PERIOD-th trip a column whose _aitken candidate
+    is admissible takes it, scaled to p-norm 1 by _column_norms, in
+    place of its plain image, which is kept.  On the next trip a
+    candidate whose gamma is below that of the iterate it was
+    extrapolated from is dropped: the column goes back to the kept
+    image, and that trip neither stops it nor moves its gamma_prev, so
+    the ratios of the iterates a column keeps never decrease.  Returns
+    per-column arrays (gamma, x, iterations, converged), where x is the
+    column's best iterate.
     """
     q = conjugate_exponent(p)
     w_power = _masked_power if p < 2.0 else np.power
@@ -148,6 +192,9 @@ def _boyd_block(B, p, X0, tol, max_iter):
     live, gbest, xbest = np.arange(k), np.zeros(k), X.copy()
     stopped = []
     gamma_prev = np.full(k, -1.0)
+    # the previous iterate, and after an extrapolating trip the plain
+    # images (kept) of the columns that took a candidate (trial)
+    X_prev, kept, trial = X, None, None
     for it in range(1, max_iter + 1):
         Y = B @ X
         M = np.abs(Y)
@@ -159,10 +206,16 @@ def _boyd_block(B, p, X0, tol, max_iter):
         M *= W
         msum = M.sum(axis=0)
         gamma = ymax * msum ** (1.0 / p)
+        # gamma_prev <= gbest, so a dropped candidate is never the best
+        back = None if kept is None else trial & (gamma < gamma_prev)
         better = gamma > gbest
         np.copyto(gbest, gamma, where=better)
         np.copyto(xbest, X, where=better)
         Z = BH @ Y
+        # each temporary goes once dead, so that neither the extrapolation
+        # nor the next trip holds it next to its own arrays (Y, M and W
+        # are 88 MB at level 16 of the Fourier s1 + t1 ladder)
+        del Y, M, W
         S = np.abs(Z)
         zmax = S.max(axis=0, initial=1e-300)
         S /= zmax
@@ -170,10 +223,13 @@ def _boyd_block(B, p, X0, tol, max_iter):
         S *= S
         S *= U
         sq = S.sum(axis=0)
+        del S
         # ||Z||_q <= Re<Z, X> (1 + tol), both sides over max|Y|, which
         # keeps them off the underflow of max|Y|^2
         stall = np.abs(gamma - gamma_prev) <= tol * gamma
         stop = ((zmax / ymax) * sq ** (1.0 / q) <= ymax * msum * (1.0 + tol)) | stall
+        if back is not None:
+            stop &= ~back
         if stop.any():
             done = live[stop]
             iterations[done], converged[done] = it, True
@@ -181,12 +237,27 @@ def _boyd_block(B, p, X0, tol, max_iter):
             go = ~stop
             live, gbest, xbest = live[go], gbest[go], xbest[:, go]
             gamma, zmax, sq, U, Z = gamma[go], zmax[go], sq[go], U[:, go], Z[:, go]
+            X, X_prev, gamma_prev = X[:, go], X_prev[:, go], gamma_prev[go]
+            if back is not None:
+                back, kept = back[go], kept[:, go]
             if live.size == 0:
                 break
         # Z scaled before it meets U, which is huge where |Z| is tiny:
         # U |Z| / max|Z| = S^(q-1) <= 1
         Z *= 1.0 / (zmax * sq ** (1.0 / p))
-        X, gamma_prev = U * Z, gamma
+        TX = U * Z
+        del U, Z
+        if back is not None and back.any():
+            TX[:, back] = kept[:, back]
+            gamma = np.where(back, gamma_prev, gamma)
+        kept = None
+        if it % BOYD_AITKEN_PERIOD == 0:
+            C, trial = _aitken(X_prev, X, TX)
+            if trial.any():
+                C /= np.where(trial, _column_norms(C, p), 1.0)
+                C[:, ~trial] = TX[:, ~trial]
+                kept, TX = TX, C
+        X_prev, X, gamma_prev = X, TX, gamma
     stopped.append((live, gbest, xbest))
     gammas, best_x = np.zeros(k), np.empty((n, k), dtype=complex)
     for starts, g, x in stopped:
@@ -199,14 +270,17 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
     B >= 0, on 1-D vectors.  Every image is nonnegative, so both phase
     maps are positive powers: with s = y / max y for y = B x,
     gamma = max y (sum s^p)^(1/p) and w = s^(p-1); with t = z / max z
-    for z = B^T w, ||z||_q = max z (sum t^q)^(1/q), and the next iterate
-    is t^(q-1) over its p-norm (sum t^q)^(1/p).  Same stopping rules
-    and best-iterate tracking; returns (gamma, x, iterations,
-    converged) with x the best iterate."""
+    for z = B^T w, ||z||_q = max z (sum t^q)^(1/q), and the plain image
+    is t^(q-1) over its p-norm (sum t^q)^(1/p).  Same stopping rules,
+    best-iterate tracking and extrapolation, where a candidate must
+    also be entrywise nonnegative (it is dropped, not clipped) and is
+    scaled by lp_norm; returns (gamma, x, iterations, converged) with x
+    the best iterate."""
     q = conjugate_exponent(p)
     BT = B.T.tocsr() if sparse.issparse(B) else B.T
     x = x / lp_norm(x, p)
     best_gamma, best_x, gamma_prev = 0.0, x, -1.0
+    x_prev, kept = x, None
     for it in range(1, max_iter + 1):
         y = B @ x
         ymax = y.max(initial=1e-300)
@@ -214,6 +288,11 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
         w = s ** (p - 1.0)
         ws = float(w @ s)
         gamma = ymax * ws ** (1.0 / p)
+        if kept is not None and gamma < gamma_prev:
+            # the candidate fell below its iterate: back to the plain image
+            x, kept = kept, None
+            continue
+        kept = None
         if gamma > best_gamma:
             best_gamma, best_x = gamma, x
         z = BT @ w
@@ -225,7 +304,12 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
         pairing, znorm = ymax * ws, zmax * sq ** (1.0 / q)
         if znorm <= pairing * (1.0 + tol) or abs(gamma - gamma_prev) <= tol * gamma:
             return best_gamma, best_x, it, True
-        x, gamma_prev = u / sq ** (1.0 / p), gamma
+        tx = u / sq ** (1.0 / p)
+        if it % BOYD_AITKEN_PERIOD == 0:
+            c, ok = _aitken(x_prev, x, tx)
+            if ok and (c >= 0.0).all():
+                kept, tx = tx, c / lp_norm(c, p)
+        x_prev, x, gamma_prev = x, tx, gamma
     return best_gamma, best_x, max_iter, False
 
 

@@ -54,8 +54,9 @@ class OperatorMatrix:
     The kernel is always a frozen CSR copy of what it is given, dense or
     sparse (spatial partial isometries and the elements they generate
     have few nonzeros), so the operator never aliases its input and no
-    caller branches on the form; only the private ``_own`` takes a kernel
-    that the package built itself as it is, without the copy.
+    caller branches on the form; a non-finite entry raises ValueError.
+    Only the private ``_own`` takes a kernel that the package built
+    itself as it is, without the copy or the checks.
     ``entries`` is a read-only dense view, built on first use and cached.
     """
 
@@ -81,6 +82,8 @@ class OperatorMatrix:
                 f"matrix shape {kernel.shape} does not match "
                 f"target x source = ({len(target)}, {len(source)})"
             )
+        if not np.isfinite(kernel.data).all():
+            raise ValueError("matrix has a non-finite entry")
         self._freeze(source, target, p, kernel)
 
     @classmethod
@@ -289,9 +292,9 @@ def _csr_parts(rows, cols, values, n_rows: int, index=np.intp) -> tuple:
 def _system_entries(sys: SpatialSystem, p: float) -> tuple:
     """Codomain rows, domain columns and values of the entries of
     materialize(sys, p), in block order: the blocks in E order and each
-    block's atoms in the block's own iteration order.  Each block's mass
-    is summed in that order by one bincount and h^(1/p) is one Python
-    float power per block."""
+    block's atoms by codomain index, the detector's row order.  Each
+    block's mass is summed in that order by one bincount and h^(1/p) is
+    one Python float power per block."""
     ys, rows, block_of = _block_rows(sys.transform, sys.codomain._index)
     cols = np.fromiter(map(sys.domain._index.__getitem__, sys.E), dtype=np.intp, count=len(sys.E))
     mass = np.bincount(block_of, weights=sys.codomain.weights[rows], minlength=cols.size)
@@ -510,7 +513,7 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
     transform = SetTransformation._own(source, target, blocks)
     system = SpatialSystem._own(A.source, A.target, source.atoms, target.atoms, transform, g)
     # materialize(system) holds an entry at each support entry and
-    # nowhere else; it sums a block's mass in the block's own order
+    # nowhere else; it sums a block's mass in codomain order
     block_rows, _, block_values = _system_entries(system, p)
     rebuilt = np.empty(A.shape[0], dtype=complex)
     rebuilt[block_rows] = block_values

@@ -403,6 +403,23 @@ def test_lamperti_reads_the_output_of_eval(tmp_path, capsys):
     assert code == 0 and out.startswith("accepted: spatial")
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_lamperti_rejects_a_non_finite_entry(tmp_path, capsys, bad):
+    # Python's json writes and reads Infinity and NaN; an operator with
+    # such an entry is bad input (exit 2), not a zero that detect accepts
+    space = lp.FiniteMeasureSpace(["a", "b"], [1.0, 1.0])
+    data = matrix_to_json(lp.OperatorMatrix(space, space, 3.0, np.eye(2)), p_text="3")
+    data["entries"][0][0] = {"re": bad, "im": 0.0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lamperti", str(path))
+    assert (code, out) == (2, "") and "non-finite entry" in err
+    data["entries"][0][0] = {"re": 1.0, "im": bad}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lamperti", str(path))
+    assert (code, out) == (2, "") and "non-finite entry" in err
+
+
 def test_report_spatiality_command(capsys):
     code, out, _ = run(
         capsys, "report-spatiality", "--rep", "fourier:sequence", "-d", "2",

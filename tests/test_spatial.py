@@ -1,5 +1,10 @@
 """Spatial systems, their operators, and the decomposition detector."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -331,10 +336,10 @@ def test_classify_idempotent_matches_loop_reference(held):
 
 def per_atom_materialize(sys, p):
     """Reference: the CSR kernel built atom by atom from COO, each block's
-    mass added in the block's own iteration order."""
+    mass added in codomain order."""
     rows, cols, values = [], [], []
     for x in sys.E:
-        block = sys.block(x)
+        block = sorted(sys.block(x), key=sys.codomain.index)
         mass = 0.0
         for y in block:
             mass += sys.codomain.weight(y)
@@ -492,6 +497,47 @@ def test_materialize_matches_per_atom_loop(p):
         assert got.shape == want.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def test_operator_rejects_a_non_finite_entry():
+    space = lp.FiniteMeasureSpace(["a", "b"], [1.0, 1.0])
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        K = np.eye(2, dtype=complex)
+        K[1, 0] = bad
+        for held in (K, sparse.csr_matrix(K)):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                lp.OperatorMatrix(space, space, 3.0, held)
+
+
+_BLOCK_OF_12 = """
+import numpy as np
+import lpcuntz as lp
+rng = np.random.default_rng(48)
+atoms = [f"y{i}" for i in range(12)]
+src = lp.FiniteMeasureSpace(["x"], [1.0])
+tgt = lp.FiniteMeasureSpace(atoms, rng.uniform(0.1, 3.0, 12))
+S = lp.SetTransformation(src, tgt, {"x": set(atoms)})
+system = lp.SpatialSystem(src, tgt, ["x"], atoms, S, {y: 1.0 for y in atoms})
+entry = lp.materialize(system, 3.0).kernel.data[0]
+print(entry.real.hex(), lp.rn_derivative(S).values[0].real.hex())
+"""
+
+
+def test_block_sums_do_not_depend_on_the_hash_seed():
+    # a block is a frozenset of str atoms, whose iteration order follows
+    # PYTHONHASHSEED; materialize and rn_derivative add its mass in
+    # codomain order, so every hash seed gives the same bits
+    src = str(Path(lp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _BLOCK_OF_12],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(6)
+    }
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 160.0])
