@@ -21,8 +21,7 @@ of two monomials and the reduction rule only multiply, add and negate
 such pairs, and the result is divided by D_a * D_b once at the end.
 The product is a prefix join: t_beta s_gamma vanishes unless one of
 beta, gamma is a prefix of the other.  Two joins compute it, term for
-term and in the same key order, which fixes evaluate's floating-point
-summation order:
+term, each in its own key order:
 
 * the dict join (_mul_term_dicts) indexes the terms of the right factor
   by gamma and by every proper prefix of gamma, and each term of the
@@ -34,10 +33,6 @@ summation order:
   It needs |a|_1 |b|_1 < 2**53 (|.|_1 sums |re| + |im| over the lattice
   terms), so that every partial sum is an integer that a double holds
   exactly; past that guard the dict join runs.
-
-A product of two matrix-unit embeddings at d = 2, m = 5 (about 1,000
-terms each, 64,000 contractions onto 1,400 keys) takes about 6 ms by
-the sparse join against about 35 ms by the dict join.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -53,16 +48,16 @@ import numpy as np
 from scipy import sparse
 
 # Products with fewer left-right term pairs than this use the dict join.
-# Measured on a 2-core VM (CPython 3.11, numpy 2.4, scipy 1.17) over 408
-# products of random elements and matrix-unit embeddings: below 16 pairs
-# a product takes a median 5 us by the dict join against 180 us by the
-# sparse join, whose setup is a fixed cost; the dict join was faster on
-# all 378 products below 2,048 pairs, the sparse join on 8 of 14 from
-# 2,048 to 4,096 and on 7 of 12 from 4,096 to 8,192 (the other 5, random
-# elements with few contractions per pair, ran 1-14 % slower), and at
-# 62,000 pairs (matrix units at d = 2, m = 4) it takes 1.1-1.2 ms
-# against 3.8-4.8 ms.
-SPARSE_JOIN_MIN_PAIRS = 4096
+# Measured on a 2-core VM (CPython 3.11, numpy 2.4, scipy 1.17) in three
+# sweeps over 408 products of random elements and matrix-unit embeddings:
+# below 16 pairs a product takes a median 4 us by the dict join against
+# 180-190 us by the sparse join, whose setup is a fixed cost; the sparse
+# join was faster on 5-6 of 22 products from 1,024 to 2,048 pairs, on
+# 12-13 of 14 from 2,048 to 4,096 and on 12-13 of 14 from 4,096 to 8,192
+# (the others, L_inf elements with few contractions per pair, ran 1-15 %
+# slower), and at 61,000-64,000 pairs (matrix units at d = 2, m = 4) it
+# takes 0.79-0.88 ms against 3.5-5.7 ms.
+SPARSE_JOIN_MIN_PAIRS = 2048
 
 
 class QC:
@@ -446,13 +441,9 @@ def _mul_term_dicts(a_terms: dict, b_terms: dict) -> dict:
     terms of b are indexed once by gamma and by every proper prefix of
     gamma.  Each t-word beta of a gets one list of the terms of b that
     it does not kill, as the s-suffix, t-word and coefficient of each
-    contraction, which every term of a with that beta reuses.  The terms
-    of a are visited in their own order, so the result's keys come in
-    the order of a term-by-term contraction: by term of a, then by hit,
-    where the hits of beta are the terms of b whose gamma extends beta
-    strictly, then those with gamma = beta[:k] for k = 0..l(beta), each
-    group in b's order.  This is the dict join, the exact reference
-    that _sparse_join reproduces term for term and key for key."""
+    contraction, which every term of a with that beta reuses.  This is
+    the dict join, the exact reference that _sparse_join reproduces
+    term for term."""
     by_gamma: dict = {}  # gamma -> [(gamma, delta, coeff)]
     by_prefix: dict = {}  # proper prefix of gamma -> [(gamma, delta, coeff)]
     for (gamma, delta), cb in b_terms.items():
@@ -485,18 +476,6 @@ def _mul_term_dicts(a_terms: dict, b_terms: dict) -> dict:
     return {key: c for key, c in terms.items() if c[0] or c[1]}
 
 
-def _csr(rows: list, cols: list, data, shape: tuple):
-    """CSR matrix whose rows keep their entries in input order (repeated
-    positions stay separate, and a product adds them), and that order as
-    a permutation of the input."""
-    rows = np.array(rows, dtype=np.intp)
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    cols = np.array(cols, dtype=np.intp)[order]
-    return sparse.csr_array((data[order], cols, indptr), shape=shape), order
-
-
 def _complex_values(terms: dict):
     """The lattice coefficients as complex doubles, in term order."""
     pairs = np.array(list(terms.values()), dtype=float)
@@ -516,18 +495,10 @@ def _sparse_join(a_terms: dict, b_terms: dict) -> dict:
     products, which scipy forms as one block product [Ã A]·[B; B̃].  The
     caller keeps |a|_1 |b|_1 below 2**53, which bounds every partial
     sum, so the complex doubles stay integers and the result is exact.
-
-    The keys come in the dict join's order.  Each contraction's rank is
-    (term of a, hit group, term of b), the order in which _mul_term_dicts
-    visits it, and a key's place is the smallest rank that reaches it.
-    The ranks are expanded over the same CSR structure, one per
-    contraction, as the sum of two parts: a left entry carries its term
-    of a and, when r is empty, the hit group of gamma = beta; a right
-    entry carries its term of b and, in B̃, the hit group of its gamma.
+    The keys come in the CSR order of that product.
     """
     if not a_terms or not b_terms:
         return {}
-    n_b = len(b_terms)
     gammas: dict = {}  # gamma of b -> middle index of Ã·B
     for gamma, _ in b_terms:
         gammas.setdefault(gamma, len(gammas))
@@ -542,65 +513,45 @@ def _sparse_join(a_terms: dict, b_terms: dict) -> dict:
     for beta, k in betas.items():
         for n in range(len(beta)):
             beta_ext.setdefault(beta[:n], []).append((beta[n:], k))
-    # rank = i * stride + g * n_b + j for term i of a, hit group g and
-    # term j of b: g = 0 when gamma extends beta strictly, 1 + l(gamma)
-    # when gamma is a prefix of beta
-    stride = (max(map(len, betas)) + 2) * n_b
     s_ids: dict = {}
     t_ids: dict = {}
-    l_rows, l_mids, l_ranks = [], [], []
+    l_rows, l_mids, l_terms = [], [], []
     for i, (alpha, beta) in enumerate(a_terms):
-        base = i * stride
         l_rows.append(s_ids.setdefault(alpha, len(s_ids)))
         l_mids.append(betas[beta])
-        l_ranks.append(base)
-        last = base + (len(beta) + 1) * n_b
+        l_terms.append(i)
         for r, k in gamma_ext.get(beta, ()):
             l_rows.append(s_ids.setdefault(alpha + r, len(s_ids)))
             l_mids.append(k)
-            l_ranks.append(base if r else last)
-    r_rows, r_cols, r_ranks = [], [], []
+            l_terms.append(i)
+    r_rows, r_cols, r_terms = [], [], []
     for j, (gamma, delta) in enumerate(b_terms):
         r_rows.append(gammas[gamma])
         r_cols.append(t_ids.setdefault(delta, len(t_ids)))
-        r_ranks.append(j)
-        rank = (len(gamma) + 1) * n_b + j
+        r_terms.append(j)
         for r, k in beta_ext.get(gamma, ()):
             r_rows.append(k)
             r_cols.append(t_ids.setdefault(delta + r, len(t_ids)))
-            r_ranks.append(rank)
+            r_terms.append(j)
     n_s, n_t, n_mid = len(s_ids), len(t_ids), len(gammas) + len(betas)
-    l_ranks = np.array(l_ranks, dtype=np.int64)
-    r_ranks = np.array(r_ranks, dtype=np.int64)
-    left, _ = _csr(l_rows, l_mids, _complex_values(a_terms)[l_ranks // stride], (n_s, n_mid))
-    right, r_order = _csr(r_rows, r_cols, _complex_values(b_terms)[r_ranks % n_b], (n_mid, n_t))
-    product = left @ right
-    rows = np.repeat(np.arange(n_s, dtype=np.int64), np.diff(product.indptr))
-    cols, data = product.indices, product.data
-    live = data != 0
-    rows, cols, data = rows[live], cols[live], data[live]
-    if not data.size:
-        return {}
-    # the contractions: each left entry meets the row of right at its middle index
-    ptr = right.indptr
-    l_mids = np.array(l_mids, dtype=np.intp)
-    counts = ptr[l_mids + 1] - ptr[l_mids]
-    pos = np.arange(counts.sum()) + np.repeat(ptr[l_mids] - (np.cumsum(counts) - counts), counts)
-    keys = np.repeat(np.array(l_rows, dtype=np.int64) * n_t, counts) + right.indices[pos]
-    ranks = np.repeat(l_ranks, counts) + r_ranks[r_order][pos]
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    first = np.minimum.reduceat(ranks[by_key], starts)
-    order = np.argsort(first[np.searchsorted(keys[starts], rows * n_t + cols)])
+    # repeated positions are summed, exactly under the 2**53 guard
+    left = sparse.csr_array(
+        (_complex_values(a_terms)[l_terms], (l_rows, l_mids)), shape=(n_s, n_mid)
+    )
+    right = sparse.csr_array(
+        (_complex_values(b_terms)[r_terms], (r_rows, r_cols)), shape=(n_mid, n_t)
+    )
+    product = (left @ right).tocoo()
+    live = product.data != 0
+    data = product.data[live]
     s_words, t_words = list(s_ids), list(t_ids)
     return {
         (s_words[r], t_words[c]): (re, im)
         for r, c, re, im in zip(
-            rows[order].tolist(),
-            cols[order].tolist(),
-            data.real[order].astype(np.int64).tolist(),
-            data.imag[order].astype(np.int64).tolist(),
+            product.row[live].tolist(),
+            product.col[live].tolist(),
+            data.real.astype(np.int64).tolist(),
+            data.imag.astype(np.int64).tolist(),
         )
     }
 

@@ -384,7 +384,8 @@ def evaluate(rep: GradedRep, a: AlgebraElement, level: int, reduce: bool = True)
     Scat @ (C kron I_m) @ Tcat, where Scat puts its distinct
     Incl * S_alpha side by side, Tcat stacks its distinct T_beta, and C is
     its coefficient matrix; a smaller group is a sum of single products.
-    None stands for an identity factor throughout.
+    None stands for an identity factor throughout.  The floating-point
+    summation follows the element's term order.
     """
     if a.kind != rep.kind:
         raise ValueError(f"element kind {a.kind} does not match rep kind {rep.kind}")

@@ -474,14 +474,11 @@ def detect(A: OperatorMatrix, tol: float = DETECT_TOL):
              "row": str(atoms_out[rows[k]])},
         )
 
-    # block constancy against (mu(x)/nu(B_x))^(1/p), summed and raised
-    # as ndarray.sum and float ** do (bincount adds in order, which is
-    # what ndarray.sum does below 8 terms; it goes pairwise from 8)
+    # block constancy against (mu(x)/nu(B_x))^(1/p), each block's mass
+    # summed in row order as rn_derivative does, and raised as float ** does
     E_cols, starts, counts = np.unique(cols, return_index=True, return_counts=True)
     block_of = np.repeat(np.arange(E_cols.size), counts)
     block_nu = np.bincount(block_of, weights=nu[rows], minlength=E_cols.size)
-    for b in np.flatnonzero(counts >= 8):
-        block_nu[b] = nu[rows[starts[b]:starts[b] + counts[b]]].sum()
     hvals = (mu[E_cols] / block_nu).tolist()
     expected = np.array([hval ** (1.0 / p) for hval in hvals])[block_of]
     moduli = np.hypot(values.real, values.imag)  # == abs() of each entry
