@@ -25,13 +25,13 @@ BOYD_AITKEN_PERIOD-th trip both loops try one vector Aitken (Delta^2)
 step per start (_aitken) from its last two iterates and their plain
 image.  The candidate is taken only when the step's quotient r has
 |r| < 0.99 and it is finite, nonzero and, in the real loop, entrywise
-nonnegative; it is scaled to p-norm 1 by max-scaled powers.  A
-candidate whose value on the next trip is below that of the iterate it
-came from is dropped for the kept plain image, and that trip neither
-stops the start nor counts for the stall rule, so the values a start
-keeps never decrease.  Both loops run on a dense copy of the kernel
-when rows x columns x block width is at most
-DENSE_MAX_WORK or an eighth or more of the entries are nonzero, and on
+nonnegative once its entries below 1e-150 are set to 0; it is scaled to
+p-norm 1 by max-scaled powers.  A candidate whose value on the next
+trip is below that of the iterate it came from is dropped for the kept
+plain image, and that trip neither stops the start nor counts for the
+stall rule, so the values a start keeps never decrease.  Both loops run
+on a dense copy of the kernel when rows x columns x block width is at
+most DENSE_MAX_WORK or an eighth or more of the entries are nonzero, and on
 CSR otherwise.  Both run on the kernel divided by the power of two at
 its largest modulus, which changes no iterate, and divide each vector
 by its largest modulus before a power or a quotient, as lp_norm and the
@@ -40,8 +40,10 @@ can overflow or underflow a sum or the next iterate.  A sampling
 oracle with compass-search ascent, which never uses the Boyd map,
 covers small source dimensions; it divides the kernel and each sample
 by its largest modulus before the powers, and its compass loop takes
-max-scaled powers on a trip whose plain ones could overflow.  Every
-returned value is a certified lower bound: the witness reproduces it.
+max-scaled powers on a trip whose plain ones could overflow; a start
+stops at step h < sqrt(eps), where the gain a move needs, h^2 times the
+value, is under one ulp.  Every returned value is a certified lower
+bound: the witness reproduces it.
 """
 
 from __future__ import annotations
@@ -273,9 +275,9 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
     for z = B^T w, ||z||_q = max z (sum t^q)^(1/q), and the plain image
     is t^(q-1) over its p-norm (sum t^q)^(1/p).  Same stopping rules,
     best-iterate tracking and extrapolation, where a candidate must
-    also be entrywise nonnegative (it is dropped, not clipped) and is
-    scaled by lp_norm; returns (gamma, x, iterations, converged) with x
-    the best iterate."""
+    also be entrywise nonnegative once entries of modulus <= 1e-150 are
+    0 (it is dropped, not clipped) and is scaled by lp_norm; returns
+    (gamma, x, iterations, converged) with x the best iterate."""
     q = conjugate_exponent(p)
     BT = B.T.tocsr() if sparse.issparse(B) else B.T
     x = x / lp_norm(x, p)
@@ -307,6 +309,7 @@ def _boyd_nonnegative(B, p, x, tol, max_iter):
         tx = u / sq ** (1.0 / p)
         if it % BOYD_AITKEN_PERIOD == 0:
             c, ok = _aitken(x_prev, x, tx)
+            c[np.abs(c) <= 1e-150] = 0.0  # decayed entries, e.g. -1e-234 on a reducible kernel
             if ok and (c >= 0.0).all():
                 kept, tx = tx, c / lp_norm(c, p)
         x_prev, x, gamma_prev = x, tx, gamma
@@ -542,46 +545,60 @@ def oracle_grid(
     # x +- h e_j, x +- i h e_j and the same about x + (last move), a
     # pattern move along curved ridges, in one matmul.  A start moves
     # on a gain above h^2 times its value; h then grows by 1.25, else
-    # halves.  It stops below 1e-13 or after 400 iterations (the cap
-    # ends the creep on p = 1 ridges); each pass re-inflates h and a
-    # start that a pass does not improve retires.
+    # halves.  It stops once h < sqrt(eps), where h^2 times the value is
+    # under one ulp of it (further trips test rounding, not the landscape),
+    # or after 400 iterations (the cap ends the creep on p = 1 ridges);
+    # each pass re-inflates h and a start that a pass does not improve retires.
     X, values = X[:, picks], norms_out[picks]
     D = np.kron([1, -1, 1j, -1j], np.eye(n))
     # a sum of up to max(B.shape) p-th powers of moduli below this is finite
     overflow_modulus = (np.finfo(float).max / max(B.shape)) ** (1.0 / p)
+    h_min = np.sqrt(np.finfo(float).eps)
     live = np.arange(len(picks))
     iterations = 0
     for _ in range(rounds):
         before = values.copy()
+        # x, v, mv: the live starts' points, values and last moves
         idx, h = live, np.full(live.size, 0.25)
-        M = np.zeros_like(X)
+        x, v, mv = X[:, live], values[live], np.zeros((n, live.size), dtype=complex)
         for _ in range(400):
             if idx.size == 0:
                 break
             iterations += idx.size
-            compass = X[:, idx, None] + h[None, :, None] * D[:, None, :]
-            trials = np.concatenate([compass, compass + M[:, idx, None]], axis=2)
+            # trials: compass, then pattern moves; mags: |B @ trials| over |trials|
+            trials = np.empty((n, idx.size, 8 * n), dtype=complex)
+            compass, pattern = trials[:, :, : 4 * n], trials[:, :, 4 * n :]
+            np.multiply(h[None, :, None], D[:, None, :], out=compass)
+            compass += x[:, :, None]
+            np.add(compass, mv[:, :, None], out=pattern)
             flat = trials.reshape(n, -1)
-            image, mags = np.abs(B @ flat), np.abs(flat)
+            mags = np.empty((B.shape[0] + n, flat.shape[1]))
+            np.abs(B @ flat, out=mags[:-n])
+            np.abs(flat, out=mags[-n:])
             # plain p-th powers unless the trip's largest modulus could
             # overflow a sum of them; then max-scaled ones, as lp_norm's
-            overflow = max(image.max(), mags.max()) >= overflow_modulus
+            overflow = mags.max() >= overflow_modulus
             if overflow:
-                ratios = _column_norms(image, p) / _column_norms(mags, p)
+                ratios = _column_norms(mags[:-n], p) / _column_norms(mags[-n:], p)
             else:
-                ratios = (np.sum(image**p, axis=0) / np.sum(mags**p, axis=0)) ** (1.0 / p)
+                mags **= p
+                ratios = (mags[:-n].sum(axis=0) / mags[-n:].sum(axis=0)) ** (1.0 / p)
             ratios = ratios.reshape(idx.size, -1)
-            j = np.argmax(ratios, axis=1)
+            j = ratios.argmax(axis=1)
             best = ratios[np.arange(idx.size), j]
-            moved = best - values[idx] > h * h * values[idx]
-            rows = idx[moved]
-            xs = trials[:, moved, j[moved]]
-            xs = xs / (_column_norms(xs, p) if overflow else np.sum(np.abs(xs) ** p, axis=0) ** (1.0 / p))
-            M[:, rows] = xs - X[:, rows]
-            X[:, rows] = xs
-            values[rows] = best[moved]
-            h = np.where(moved, 1.25 * h, 0.5 * h)
-            idx, h = idx[h >= 1e-13], h[h >= 1e-13]
+            moved = best - v > h * h * v
+            if moved.any():
+                xs = trials[:, moved, j[moved]]
+                xs = xs / (_column_norms(xs, p) if overflow else np.sum(np.abs(xs) ** p, axis=0) ** (1.0 / p))
+                mv[:, moved] = xs - x[:, moved]
+                x[:, moved] = xs
+                v[moved] = best[moved]
+            h *= np.where(moved, 1.25, 0.5)
+            if h.min() < h_min:
+                keep = h >= h_min
+                X[:, idx], values[idx] = x, v
+                idx, h, x, v, mv = idx[keep], h[keep], x[:, keep], v[keep], mv[:, keep]
+        X[:, idx], values[idx] = x, v
         live = live[values[live] > before[live] + 1e-14]
 
     best_x = X[:, int(np.argmax(values))]
